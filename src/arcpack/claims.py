@@ -18,12 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .digraph import Digraph, is_eulerian, second_out_neighborhood
-from .enumeration import (
-    canonical_code,
-    search_counterexamples,
-    verify_nu_eq_tau_upto,
-)
+from .digraph import Digraph, has_second_neighborhood_witness, is_eulerian
+from .enumeration import enumerate_tournaments, verify_nu_eq_tau_upto
 from .fas import (
     feedback_arc_set_size,
     min_fas_induces_path,
@@ -43,6 +39,7 @@ from .instances import (
 from .packing import (
     Budget,
     count_triangles_through,
+    cycle_arcs,
     is_valid_packing,
     max_cycle_packing,
     max_triangles_through,
@@ -116,6 +113,35 @@ def parse_claim(line: str) -> ClaimResult:
     )
 
 
+# -- property checks on random instances ------------------------------
+# Shared with ``arcpack random-check``; each returns (checked, violations).
+
+
+def universal_vertex_cycle_counts(graphs: Iterable[Digraph]) -> tuple[int, int]:
+    """Vertices meeting the universal-vertex hypothesis, and those that do
+    not lie on out-degree many arc-disjoint cycles."""
+    reps = [verify_universal_vertex_cycles(g) for g in graphs]
+    return sum(len(r.checked) for r in reps), sum(len(r.violations) for r in reps)
+
+
+def mindeg_tau_bound_counts(graphs: Sequence[Digraph]) -> tuple[int, int]:
+    """Graphs, and those whose minimum FAS is below the min-degree bound."""
+    bad = sum(feedback_arc_set_size(g) < mindeg_lower_bound(g) for g in graphs)
+    return len(graphs), bad
+
+
+def mindeg_triangle_counts(graphs: Iterable[Digraph]) -> tuple[int, int]:
+    """Min-out-degree vertices, and those on fewer than min-out-degree many
+    triangles (counted, not packed)."""
+    checked = violations = 0
+    for t in graphs:
+        k = t.min_out_degree()
+        low = [v for v in range(t.n) if t.out_degree(v) == k]
+        checked += len(low)
+        violations += sum(count_triangles_through(t, v) < k for v in low)
+    return checked, violations
+
+
 # -- individual claims ------------------------------------------------
 #
 # Each runner returns (passed, observed, expected); the caller adds
@@ -175,79 +201,51 @@ def _flow_k_t11(budget: Budget) -> tuple[bool, str, str]:
     return ok, str(value), "5"
 
 
+def _draw(rng: random.Random, count: int, hi: int, make: Callable) -> list[Digraph]:
+    """``count`` graphs ``make(n, seed)`` of random order ``3 <= n < hi``."""
+    return [make(rng.randrange(3, hi), rng.randrange(1 << 32)) for _ in range(count)]
+
+
+def _oriented(n: int, seed: int) -> Digraph:
+    return random_oriented(n, 0.5, seed)
+
+
+def _counted(checked: int, violations: int) -> tuple[bool, str, str]:
+    return violations == 0, f"checked:{checked};violations:{violations}", "violations:0"
+
+
 def _univ_cycles_random(budget: Budget) -> tuple[bool, str, str]:
     rng = random.Random(101)
-    checked = 0
-    violations = 0
-    for _ in range(500):
-        t = random_tournament(rng.randrange(3, 13), rng.randrange(1 << 32))
-        rep = verify_universal_vertex_cycles(t)
-        checked += len(rep.checked)
-        violations += len(rep.violations)
-    for _ in range(500):
-        g = random_oriented(rng.randrange(3, 13), 0.5, rng.randrange(1 << 32))
-        rep = verify_universal_vertex_cycles(g)
-        checked += len(rep.checked)
-        violations += len(rep.violations)
-    observed = f"checked:{checked};violations:{violations}"
-    return violations == 0, observed, "violations:0"
+    graphs = _draw(rng, 500, 13, random_tournament) + _draw(rng, 500, 13, _oriented)
+    return _counted(*universal_vertex_cycle_counts(graphs))
 
 
 def _mindeg_tau_random(budget: Budget) -> tuple[bool, str, str]:
-    rng = random.Random(202)
-    violations = 0
-    for _ in range(300):
-        g = random_oriented(rng.randrange(3, 11), 0.5, rng.randrange(1 << 32))
-        if feedback_arc_set_size(g) < mindeg_lower_bound(g):
-            violations += 1
-    return violations == 0, f"checked:300;violations:{violations}", "violations:0"
+    graphs = _draw(random.Random(202), 300, 11, _oriented)
+    return _counted(*mindeg_tau_bound_counts(graphs))
 
 
 def _mindeg_tri_random(budget: Budget) -> tuple[bool, str, str]:
-    # every minimum-out-degree vertex lies on at least min-out-degree
-    # many triangles (counted, not packed)
-    rng = random.Random(303)
-    violations = 0
-    for _ in range(300):
-        t = random_tournament(rng.randrange(3, 13), rng.randrange(1 << 32))
-        k = t.min_out_degree()
-        for v in range(t.n):
-            if t.out_degree(v) == k and count_triangles_through(t, v) < k:
-                violations += 1
-    return violations == 0, f"checked:300;violations:{violations}", "violations:0"
+    # checked counts graphs here; random-check counts min-degree vertices
+    graphs = _draw(random.Random(303), 300, 13, random_tournament)
+    return _counted(len(graphs), mindeg_triangle_counts(graphs)[1])
 
 
 def _second_nbhd_le8(budget: Budget) -> tuple[bool, str, str]:
     # some vertex with |N++| >= |N+| in every tournament: all classes of
     # order <= 7, then 500 random order-8 instances
-    def has_witness(t: Digraph) -> bool:
-        return any(
-            len(second_out_neighborhood(t, v)) >= t.out_degree(v)
-            for v in range(t.n)
-        )
-
-    checked = 0
-    violations = 0
-    from .enumeration import enumerate_tournaments
-
-    for n in range(1, 8):
-        for t in enumerate_tournaments(n):
-            checked += 1
-            if not has_witness(t):
-                violations += 1
     rng = random.Random(404)
-    for _ in range(500):
-        if not has_witness(random_tournament(8, rng.randrange(1 << 32))):
-            violations += 1
-        checked += 1
-    return violations == 0, f"checked:{checked};violations:{violations}", "violations:0"
+    graphs = [t for n in range(1, 8) for t in enumerate_tournaments(n)]
+    graphs += [random_tournament(8, rng.randrange(1 << 32)) for _ in range(500)]
+    bad = sum(not has_second_neighborhood_witness(t) for t in graphs)
+    return _counted(len(graphs), bad)
 
 
 def _pack11_t(budget: Budget) -> tuple[bool, str, str]:
     t = builtin("paper-T")
     cycles = triangle_family_T()
     valid = is_valid_packing(t, cycles)
-    used = {arc for c in cycles for arc in zip(c, c[1:] + (c[0],))}
+    used = {arc for c in cycles for arc in cycle_arcs(c)}
     # which of the 12 ordering-backward arcs the family leaves uncovered
     missing = sorted(
         label_of(u) + label_of(v)

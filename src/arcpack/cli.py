@@ -13,11 +13,19 @@ Solver budgets default to the environment overrides
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
-from .claims import CLAIM_IDS, format_report, verify_paper
-from .digraph import Digraph, format_graph, parse_graph, second_out_neighborhood
+from .claims import (
+    CLAIM_IDS,
+    format_report,
+    mindeg_tau_bound_counts,
+    mindeg_triangle_counts,
+    universal_vertex_cycle_counts,
+    verify_paper,
+)
+from .digraph import Digraph, format_graph, has_second_neighborhood_witness, parse_graph
 from .enumeration import (
     ENUMERATION_MAX_ORDER,
     PREDICATES,
@@ -25,8 +33,8 @@ from .enumeration import (
     class_codes,
     enumerate_tournaments,
 )
-from .fas import feedback_arc_set_size, min_feedback_arc_set, mindeg_lower_bound
-from .flow import max_cycles_through, min_arc_cover_through, verify_universal_vertex_cycles
+from .fas import min_feedback_arc_set
+from .flow import max_cycles_through, min_arc_cover_through
 from .instances import (
     BUILTIN_NAMES,
     builtin,
@@ -37,6 +45,7 @@ from .instances import (
 from .packing import (
     BRUTEFORCE_MAX_VERTICES,
     Budget,
+    BudgetExceeded,
     count_triangles_through,
     max_cycle_packing,
     max_triangles_through,
@@ -67,11 +76,9 @@ def _parse_vertex(d: Digraph, word: str) -> int:
 
 def _budget(args: argparse.Namespace) -> Budget:
     base = Budget.from_env()
-    nodes = getattr(args, "budget_nodes", None)
-    secs = getattr(args, "budget_secs", None)
     return Budget(
-        max_nodes=nodes if nodes is not None else base.max_nodes,
-        max_secs=secs if secs is not None else base.max_secs,
+        max_nodes=base.max_nodes if args.budget_nodes is None else args.budget_nodes,
+        max_secs=base.max_secs if args.budget_secs is None else args.budget_secs,
     )
 
 
@@ -156,38 +163,14 @@ def _cmd_random_check(args: argparse.Namespace) -> int:
         failures += violations
         print(f"CHECK {name} checked={checked} violations={violations}")
 
-    checked = violations = 0
-    for g in graphs:
-        rep = verify_universal_vertex_cycles(g)
-        checked += len(rep.checked)
-        violations += len(rep.violations)
-    report("universal-vertex-cycles", checked, violations)
+    report("universal-vertex-cycles", *universal_vertex_cycle_counts(graphs))
 
     if n <= 16:
-        bad = sum(
-            1 for g in graphs if feedback_arc_set_size(g) < mindeg_lower_bound(g)
-        )
-        report("mindeg-tau-bound", len(graphs), bad)
+        report("mindeg-tau-bound", *mindeg_tau_bound_counts(graphs))
 
     if args.model == "tournament":
-        checked = violations = 0
-        for g in graphs:
-            k = g.min_out_degree()
-            for v in range(g.n):
-                if g.out_degree(v) == k:
-                    checked += 1
-                    if count_triangles_through(g, v) < k:
-                        violations += 1
-        report("mindeg-triangle-count", checked, violations)
-
-        bad = sum(
-            1
-            for g in graphs
-            if not any(
-                len(second_out_neighborhood(g, v)) >= g.out_degree(v)
-                for v in range(g.n)
-            )
-        )
+        report("mindeg-triangle-count", *mindeg_triangle_counts(graphs))
+        bad = sum(not has_second_neighborhood_witness(g) for g in graphs)
         report("second-neighborhood", len(graphs), bad)
 
     if n <= BRUTEFORCE_MAX_VERTICES:
@@ -283,10 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, OSError) as exc:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    except (BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetExceeded) else 2
 
 
 if __name__ == "__main__":

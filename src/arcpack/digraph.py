@@ -210,19 +210,17 @@ def topological_order(d: Digraph) -> tuple[int, ...] | None:
     Deterministic: among ready vertices the smallest label is placed first.
     """
     indeg = [d.in_degree(v) for v in range(d.n)]
-    placed = 0
     order = []
     heap = [v for v in range(d.n) if indeg[v] == 0]
     heapq.heapify(heap)
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
-        placed += 1
         for w in bits(d.out[v]):
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
-    if placed != d.n:
+    if len(order) != d.n:
         return None
     return tuple(order)
 
@@ -249,6 +247,14 @@ def second_out_neighborhood(d: Digraph, v: int) -> frozenset[int]:
     return frozenset(bits(second))
 
 
+def has_second_neighborhood_witness(d: Digraph) -> bool:
+    """Some vertex has a second out-neighborhood at least as large as its
+    first (tournaments are expected to always have one)."""
+    return any(
+        len(second_out_neighborhood(d, v)) >= d.out_degree(v) for v in range(d.n)
+    )
+
+
 # -- connectivity and degree balance ----------------------------------
 
 
@@ -262,6 +268,19 @@ def _reachable(rows: tuple[int, ...], start: int) -> int:
         frontier = new & ~seen
         seen |= new
     return seen
+
+
+def scc_masks(d: Digraph) -> list[int]:
+    """Strongly connected components as vertex bitmasks, in order of their
+    lowest vertex: each is what that vertex both reaches and is reached by."""
+    comps = []
+    left = (1 << d.n) - 1
+    while left:
+        v = (left & -left).bit_length() - 1
+        comp = _reachable(d.out, v) & _reachable(d.inn, v)
+        comps.append(comp)
+        left &= ~comp
+    return comps
 
 
 def is_strongly_connected(d: Digraph) -> bool:

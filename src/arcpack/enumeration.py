@@ -25,11 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from math import factorial
+from typing import Callable
 
-from .digraph import Digraph, bits, second_out_neighborhood
+from .digraph import Digraph, has_second_neighborhood_witness
 from .fas import min_feedback_arc_set
-from .packing import Budget, max_cycle_packing, mindeg_triangle_packing_holds
+from .packing import (
+    Budget,
+    BudgetExceeded,
+    max_cycle_packing,
+    mindeg_triangle_packing_holds,
+)
 
 ENUMERATION_MAX_ORDER = 7
 
@@ -149,6 +155,8 @@ def _extend(parent: Digraph, pattern: int) -> Digraph:
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[tuple[int, int], ...]:
     """Sorted (code value, aut size) pairs for all classes of order n."""
+    if not 1 <= n <= ENUMERATION_MAX_ORDER:
+        raise ValueError(f"order must be in 1..{ENUMERATION_MAX_ORDER}, got {n}")
     if n == 1:
         return ((0, 1),)
     found: dict[int, int] = {}
@@ -162,51 +170,27 @@ def _classes(n: int) -> tuple[tuple[int, int], ...]:
 
 def class_count(n: int) -> int:
     """Number of tournaments of order n up to isomorphism."""
-    if not 1 <= n <= ENUMERATION_MAX_ORDER:
-        raise ValueError(f"order must be in 1..{ENUMERATION_MAX_ORDER}, got {n}")
     return len(_classes(n))
 
 
 def enumerate_tournaments(n: int) -> tuple[Digraph, ...]:
     """One canonically labeled representative per isomorphism class,
     in ascending code order."""
-    if not 1 <= n <= ENUMERATION_MAX_ORDER:
-        raise ValueError(f"order must be in 1..{ENUMERATION_MAX_ORDER}, got {n}")
     return tuple(CanonicalCode(n, v).decode() for v, _ in _classes(n))
 
 
 def class_codes(n: int) -> tuple[CanonicalCode, ...]:
-    if not 1 <= n <= ENUMERATION_MAX_ORDER:
-        raise ValueError(f"order must be in 1..{ENUMERATION_MAX_ORDER}, got {n}")
     return tuple(CanonicalCode(n, v) for v, _ in _classes(n))
 
 
 def labeled_count_identity_holds(n: int) -> bool:
     """Check sum(n!/|Aut|) over classes against the labeled total 2^C(n,2)."""
-    if not 1 <= n <= ENUMERATION_MAX_ORDER:
-        raise ValueError(f"order must be in 1..{ENUMERATION_MAX_ORDER}, got {n}")
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
+    fact = factorial(n)
     total = 0
     for _, aut in _classes(n):
         assert fact % aut == 0
         total += fact // aut
     return total == 1 << (n * (n - 1) // 2)
-
-
-def all_labeled_tournaments(n: int) -> Iterable[Digraph]:
-    """Every labeled tournament on 0..n-1; 2^C(n,2) of them.  Slow full
-    scan kept as an independent cross-check for tiny orders."""
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for word in range(1 << len(pairs)):
-        rows = [0] * n
-        for k, (i, j) in enumerate(pairs):
-            if (word >> k) & 1:
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-        yield Digraph(n, rows)
 
 
 # -- sweeps over all classes ------------------------------------------
@@ -255,7 +239,7 @@ def nu_lt_tau(t: Digraph, budget: Budget | None = None) -> bool:
     tau = min_feedback_arc_set(t).tau
     rep = max_cycle_packing(t, budget)
     if not rep.optimal:
-        raise RuntimeError("budget exhausted before the packing was settled")
+        raise BudgetExceeded("budget exhausted before the packing was settled")
     return rep.value < tau
 
 
@@ -268,9 +252,7 @@ def mindeg_triangles_fail(t: Digraph) -> bool:
 def second_neighborhood_fail(d: Digraph) -> bool:
     """No vertex has a second out-neighborhood at least as large as its
     first (tournaments are expected to always have one)."""
-    return not any(
-        len(second_out_neighborhood(d, v)) >= d.out_degree(v) for v in range(d.n)
-    )
+    return not has_second_neighborhood_witness(d)
 
 
 PREDICATES: dict[str, Callable[[Digraph], bool]] = {
@@ -284,8 +266,6 @@ def search_counterexamples(
     n: int, predicate: str | Callable[[Digraph], bool]
 ) -> tuple[CanonicalCode, ...]:
     """Codes of all order-``n`` classes satisfying the predicate."""
-    if not 1 <= n <= ENUMERATION_MAX_ORDER:
-        raise ValueError(f"order must be in 1..{ENUMERATION_MAX_ORDER}, got {n}")
     fn = PREDICATES[predicate] if isinstance(predicate, str) else predicate
     return tuple(
         canonical_code(t) for t in enumerate_tournaments(n) if fn(t)

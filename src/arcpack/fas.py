@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .digraph import Arc, Digraph, bits, hamiltonian_path, is_acyclic
+from .digraph import Arc, Digraph, backward_arcs, bits, is_acyclic, topological_order
 
 DEFAULT_MAX_VERTICES = 24
 
@@ -38,9 +38,15 @@ class FasResult:
     arcs: frozenset[Arc]
 
 
-def _subset_costs(d: Digraph) -> array:
-    """The DP table f over all vertex subsets, indexed by bitmask."""
+def _subset_costs(d: Digraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> array:
+    """The DP table f over all vertex subsets, indexed by bitmask; the
+    table has 2**n entries, so ``ValueError`` above ``max_vertices``."""
     n = d.n
+    if n > max_vertices:
+        raise ValueError(
+            f"subset DP capped at {max_vertices} vertices, got {n}; "
+            "raise max_vertices explicitly to override"
+        )
     out = d.out
     size = 1 << n
     f = array("i", bytes(4 * size))
@@ -59,6 +65,14 @@ def _subset_costs(d: Digraph) -> array:
     return f
 
 
+def _optimal_last(f: array, out: tuple[int, ...], s: int) -> Iterator[int]:
+    """Vertices, ascending, that can close an optimal ordering of ``s``."""
+    for v in bits(s):
+        rest = s & ~(1 << v)
+        if f[rest] + (out[v] & rest).bit_count() == f[s]:
+            yield v
+
+
 def min_feedback_arc_set(
     d: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> FasResult:
@@ -68,32 +82,15 @@ def min_feedback_arc_set(
     choosing the smallest vertex label whenever several choices are
     optimal.  Raises ``ValueError`` above the vertex cap.
     """
-    if d.n > max_vertices:
-        raise ValueError(
-            f"subset DP capped at {max_vertices} vertices, got {d.n}; "
-            "raise max_vertices explicitly to override"
-        )
-    f = _subset_costs(d)
-    out = d.out
+    f = _subset_costs(d, max_vertices)
     s = (1 << d.n) - 1
     rev = []
     while s:
-        t = s
-        while t:
-            low = t & -t
-            t ^= low
-            v = low.bit_length() - 1
-            if f[s ^ low] + (out[v] & (s ^ low)).bit_count() == f[s]:
-                rev.append(v)
-                s ^= low
-                break
+        v = next(_optimal_last(f, d.out, s))
+        rev.append(v)
+        s ^= 1 << v
     ordering = tuple(reversed(rev))
-    pos = [0] * d.n
-    for i, v in enumerate(ordering):
-        pos[v] = i
-    arcs = frozenset(
-        (u, v) for u in range(d.n) for v in bits(out[u]) if pos[u] > pos[v]
-    )
+    arcs = backward_arcs(d, ordering)
     tau = f[(1 << d.n) - 1]
     assert len(arcs) == tau
     return FasResult(tau=tau, ordering=ordering, arcs=arcs)
@@ -101,11 +98,7 @@ def min_feedback_arc_set(
 
 def feedback_arc_set_size(d: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
     """The minimum FAS size alone (no certificate traceback)."""
-    if d.n > max_vertices:
-        raise ValueError(
-            f"subset DP capped at {max_vertices} vertices, got {d.n}"
-        )
-    return _subset_costs(d)[(1 << d.n) - 1]
+    return _subset_costs(d, max_vertices)[(1 << d.n) - 1]
 
 
 def _arc_key(arcs: frozenset[Arc]) -> tuple[Arc, ...]:
@@ -139,14 +132,8 @@ def enumerate_min_fas(d: Digraph, limit: int) -> list[frozenset[Arc]]:
         if cached is not None:
             return cached
         found: set[frozenset[Arc]] = set()
-        t = s
-        while t:
-            low = t & -t
-            t ^= low
-            v = low.bit_length() - 1
-            rest = s ^ low
-            if f[rest] + (out[v] & rest).bit_count() != f[s]:
-                continue
+        for v in _optimal_last(f, out, s):
+            rest = s ^ (1 << v)
             added = frozenset((v, u) for u in bits(out[v] & rest))
             for prior in partial_sets(rest):
                 found.add(prior | added)
@@ -173,35 +160,31 @@ def min_fas_induces_path(d: Digraph, arcs: Iterable[Arc]) -> bool:
     endpoints (vertices touching no given arc are dropped).  Raises
     ``ValueError`` when ``arcs`` contains a non-arc of ``d``.
     """
+    return min_fas_path(d, arcs) is not None
+
+
+def min_fas_path(d: Digraph, arcs: Iterable[Arc]) -> tuple[int, ...] | None:
+    """The hamiltonian path certificate behind ``min_fas_induces_path``,
+    in original vertex labels, or ``None`` when the check fails.
+
+    The subgraph is acyclic, so it has a hamiltonian path exactly when
+    consecutive vertices of its topological order are adjacent, and then
+    that order is the only such path.
+    """
     fas = frozenset(arcs)
     for u, v in fas:
         if not (0 <= u < d.n and d.has_arc(u, v)):
             raise ValueError(f"({u}, {v}) is not an arc of the graph")
     if not fas:
-        return is_acyclic(d)
+        return () if is_acyclic(d) else None
     if len(fas) != feedback_arc_set_size(d):
-        return False
-    if not is_acyclic(d.without_arcs(fas)):
-        return False
-    verts = sorted({u for a in fas for u in a})
-    index = {old: new for new, old in enumerate(verts)}
-    sub = Digraph.from_arcs(len(verts), [(index[u], index[v]) for u, v in fas])
-    if not is_acyclic(sub):
-        return False
-    return hamiltonian_path(sub) is not None
-
-
-def min_fas_path(d: Digraph, arcs: Iterable[Arc]) -> tuple[int, ...] | None:
-    """The hamiltonian path certificate behind ``min_fas_induces_path``,
-    in original vertex labels, or ``None`` when the check fails."""
-    fas = frozenset(arcs)
-    if not min_fas_induces_path(d, fas):
         return None
-    if not fas:
-        return ()
+    if not is_acyclic(d.without_arcs(fas)):
+        return None
     verts = sorted({u for a in fas for u in a})
     index = {old: new for new, old in enumerate(verts)}
     sub = Digraph.from_arcs(len(verts), [(index[u], index[v]) for u, v in fas])
-    path = hamiltonian_path(sub)
-    assert path is not None
-    return tuple(verts[v] for v in path)
+    order = topological_order(sub)
+    if order is None or not all(map(sub.has_arc, order, order[1:])):
+        return None
+    return tuple(verts[v] for v in order)

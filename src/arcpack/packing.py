@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .digraph import Arc, Digraph, bits, topological_order
+from .digraph import Arc, Digraph, bits, scc_masks, topological_order
 from .fas import DEFAULT_MAX_VERTICES, min_feedback_arc_set
 
 Cycle = tuple[int, ...]
@@ -40,8 +40,8 @@ Cycle = tuple[int, ...]
 BRUTEFORCE_MAX_VERTICES = 7
 
 
-class BudgetExceeded(Exception):
-    """Internal signal that the node or time budget ran out."""
+class BudgetExceeded(RuntimeError):
+    """The node or time budget ran out before an answer was settled."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,12 @@ class Budget:
 
     max_nodes: int = 100_000_000
     max_secs: float = 1800.0
+
+    def __post_init__(self) -> None:
+        if self.max_nodes < 1:
+            raise ValueError(f"node budget must be positive, got {self.max_nodes}")
+        if not self.max_secs > 0:
+            raise ValueError(f"time budget must be positive, got {self.max_secs}")
 
     @classmethod
     def from_env(cls) -> "Budget":
@@ -323,51 +329,11 @@ def _decide_one_below(d: Digraph, fas: frozenset[Arc], tracker: _Tracker) -> lis
 # -- general branch-and-bound below tau - 1 ---------------------------
 
 
-def _scc_masks(d: Digraph) -> list[int]:
-    """Strongly connected components as vertex bitmasks (Kosaraju)."""
-    n = d.n
-    order: list[int] = []
-    seen = 0
-    for root in range(n):
-        if (seen >> root) & 1:
-            continue
-        stack = [(root, iter(bits(d.out[root])))]
-        seen |= 1 << root
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not (seen >> w) & 1:
-                    seen |= 1 << w
-                    stack.append((w, iter(bits(d.out[w]))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(v)
-                stack.pop()
-    comps = []
-    assigned = 0
-    for v in reversed(order):
-        if (assigned >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            new = 0
-            for u in bits(frontier):
-                new |= d.inn[u]
-            frontier = new & ~comp & ~assigned
-            comp |= frontier
-        comps.append(comp)
-        assigned |= comp
-    return comps
-
-
 def _cyclic_restriction(d: Digraph) -> Digraph:
     """Subgraph of the arcs that lie on at least one cycle: both endpoints
     in the same strongly connected component."""
     comp_of = [0] * d.n
-    for mask in _scc_masks(d):
+    for mask in scc_masks(d):
         for v in bits(mask):
             comp_of[v] = mask
     return Digraph(d.n, [d.out[v] & comp_of[v] for v in range(d.n)])
@@ -492,39 +458,28 @@ def max_cycle_packing(d: Digraph, budget: Budget | None = None) -> PackingReport
     best: list[Cycle] = greedy_short_cycles(d)
     optimal = False
     try:
+        ceiling = None  # known upper bound on the packing number
         if d.n <= DEFAULT_MAX_VERTICES:
             fr = min_feedback_arc_set(d)
-            if fr.tau == 0:
-                best, optimal = [], True
-            elif len(best) == fr.tau:
-                optimal = True
-            else:
+            ceiling = fr.tau
+            if len(best) < ceiling:
                 sol = _decide_full(d, fr.arcs, tracker)
-                if sol is not None:
-                    best, optimal = sol, True
-                else:
-                    sol = _decide_one_below(d, fr.arcs, tracker)
-                    if sol is not None:
-                        best, optimal = sol, True
-                    else:
-                        # packing number is at most tau - 2; climb to it
-                        k = len(best) + 1
-                        while k <= fr.tau - 2:
-                            sol = _find_general(d, k, tracker)
-                            if sol is None:
-                                break
-                            best = sol
-                            k += 1
-                        optimal = True
-        else:
-            k = len(best) + 1
-            while True:
-                sol = _find_general(d, k, tracker)
                 if sol is None:
-                    optimal = True
-                    break
-                best = sol
-                k += 1
+                    ceiling -= 1
+                    sol = _decide_one_below(d, fr.arcs, tracker)
+                if sol is None:
+                    ceiling -= 1
+                else:
+                    best = sol
+        # climb from the best packing so far up to the ceiling
+        k = len(best) + 1
+        while ceiling is None or k <= ceiling:
+            sol = _find_general(d, k, tracker)
+            if sol is None:
+                break
+            best = sol
+            k += 1
+        optimal = True
     except BudgetExceeded:
         optimal = False
     cycles = tuple(sorted(normalize_cycle(c) for c in best))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Iterator
 
 from arcpack.digraph import Digraph
 
@@ -32,6 +33,36 @@ def tau_perm(d: Digraph) -> int:
         pos = {v: i for i, v in enumerate(perm)}
         best = min(best, sum(1 for u, v in arcs if pos[u] > pos[v]))
     return best
+
+
+def all_labeled_tournaments(n: int) -> Iterator[Digraph]:
+    """Every labeled tournament on 0..n-1; 2^C(n,2) of them."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for word in range(1 << len(pairs)):
+        rows = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if (word >> k) & 1:
+                rows[i] |= 1 << j
+            else:
+                rows[j] |= 1 << i
+        yield Digraph(n, rows)
+
+
+def scc_brute(d: Digraph) -> set[frozenset[int]]:
+    """Strong components as classes of mutual reachability, by transitive
+    closure over vertex sets."""
+    reach = [{v} | set(d.out_neighbors(v)) for v in range(d.n)]
+    changed = True
+    while changed:
+        changed = False
+        for v in range(d.n):
+            grown = set().union(*(reach[w] for w in reach[v]))
+            if grown != reach[v]:
+                reach[v], changed = grown, True
+    return {
+        frozenset(w for w in range(d.n) if v in reach[w] and w in reach[v])
+        for v in range(d.n)
+    }
 
 
 def second_out_brute(d: Digraph, v: int) -> set[int]:

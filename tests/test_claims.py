@@ -51,6 +51,19 @@ class TestSuite:
         assert by_id["FAS_PATH_T"].observed == "ok;path:mkigeca"
         assert by_id["NU_EQ_TAU_LE6"].observed.startswith("counts:1,1,2,4,12,56")
 
+    @pytest.mark.parametrize(
+        "cid,observed",
+        [
+            ("UNIV_CYCLES_RANDOM", "checked:945;violations:0"),
+            ("MINDEG_TAU_RANDOM", "checked:300;violations:0"),
+            ("MINDEG_TRI_RANDOM", "checked:300;violations:0"),
+            ("SECOND_NBHD_LE8", "checked:1032;violations:0"),
+        ],
+    )
+    def test_random_claims_golden(self, results, cid, observed):
+        by_id = {r.claim_id: r for r in results}
+        assert by_id[cid].observed == observed
+
 
 class TestFormat:
     def test_line_shape(self, results):

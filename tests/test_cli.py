@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from arcpack.cli import main
@@ -58,6 +63,25 @@ class TestNu:
         assert code == 3
         assert out.splitlines()[0].endswith("optimal=false")
 
+    @pytest.mark.parametrize(
+        "flags,msg",
+        [
+            (("--budget-nodes", "0"), "node budget must be positive"),
+            (("--budget-secs", "-1"), "time budget must be positive"),
+        ],
+    )
+    def test_rejects_non_positive_budget_flags(self, capsys, flags, msg):
+        code, out, err = run(capsys, "nu", "paper-T7", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and msg in err
+        assert len(err.splitlines()) == 1
+
+    def test_rejects_non_positive_budget_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARCPACK_BUDGET_SECS", "-5")
+        code, out, err = run(capsys, "nu", "paper-T7")
+        assert code == 2 and out == ""
+        assert err == "error: time budget must be positive, got -5.0\n"
+
 
 class TestThroughCommands:
     def test_cycles_through_letter_vertex(self, capsys):
@@ -103,6 +127,30 @@ class TestEnum:
         with pytest.raises(SystemExit):
             main(["enum", "8"])
 
+    def test_predicate_budget_exhaustion(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARCPACK_BUDGET_NODES", "1")
+        code, _, err = run(capsys, "enum", "6", "--predicate", "nu_lt_tau")
+        assert code == 3
+        assert err == "error: budget exhausted before the packing was settled\n"
+
+    def test_closed_stdout_is_quiet(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "arcpack.cli", "enum", "6"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=path),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
+
 
 class TestRandomCheck:
     def test_tournament_model(self, capsys):
@@ -123,6 +171,36 @@ class TestRandomCheck:
         )
         assert code == 0
         assert "mindeg-tau-bound" in out
+
+    def test_golden_tournament(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "random-check", "--model", "tournament", "--n", "7",
+            "--count", "50", "--seed", "3",
+        )
+        assert code == 0
+        assert out == (
+            "CHECK universal-vertex-cycles checked=97 violations=0\n"
+            "CHECK mindeg-tau-bound checked=50 violations=0\n"
+            "CHECK mindeg-triangle-count checked=77 violations=0\n"
+            "CHECK second-neighborhood checked=50 violations=0\n"
+            "CHECK packing-vs-bruteforce checked=50 violations=0\n"
+            "ok\n"
+        )
+
+    def test_golden_oriented(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "random-check", "--model", "oriented", "--n", "7",
+            "--count", "50", "--seed", "3",
+        )
+        assert code == 0
+        assert out == (
+            "CHECK universal-vertex-cycles checked=1 violations=0\n"
+            "CHECK mindeg-tau-bound checked=50 violations=0\n"
+            "CHECK packing-vs-bruteforce checked=50 violations=0\n"
+            "ok\n"
+        )
 
     def test_deterministic(self, capsys):
         args = ("random-check", "--model", "tournament", "--n", "5",

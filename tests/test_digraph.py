@@ -7,14 +7,16 @@ from arcpack.digraph import (
     bits,
     format_graph,
     hamiltonian_path,
+    has_second_neighborhood_witness,
     is_acyclic,
     is_eulerian,
     is_strongly_connected,
     parse_graph,
+    scc_masks,
     second_out_neighborhood,
     topological_order,
 )
-from oracles import hamiltonian_path_exists, random_digraph, second_out_brute
+from oracles import hamiltonian_path_exists, random_digraph, scc_brute, second_out_brute
 
 
 def digraphs(max_n=8, p=0.4):
@@ -147,6 +149,11 @@ class TestNeighborhoods:
         with pytest.raises(ValueError):
             second_out_neighborhood(d, 2)
 
+    def test_second_neighborhood_witness(self):
+        # in a 2-cycle each vertex's only second out-neighbor is itself
+        assert not has_second_neighborhood_witness(Digraph.from_arcs(2, [(0, 1), (1, 0)]))
+        assert has_second_neighborhood_witness(Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]))
+
 
 class TestConnectivity:
     def test_cycle_is_strong_and_eulerian(self):
@@ -163,6 +170,18 @@ class TestConnectivity:
     def test_unbalanced_is_not_eulerian(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
         assert not is_eulerian(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0.15, 0.3, 0.5]).flatmap(lambda p: digraphs(8, p)))
+    def test_scc_masks_match_mutual_reachability(self, d):
+        masks = scc_masks(d)
+        covered = 0
+        for m in masks:
+            assert m and not m & covered
+            covered |= m
+        assert covered == (1 << d.n) - 1
+        assert {frozenset(bits(m)) for m in masks} == scc_brute(d)
+        assert is_strongly_connected(d) == (len(masks) == 1)
 
 
 class TestHamiltonianPath:

@@ -8,7 +8,6 @@ from arcpack.digraph import Digraph
 from arcpack.enumeration import (
     PREDICATES,
     CanonicalCode,
-    all_labeled_tournaments,
     aut_group_size,
     canonical_code,
     canonical_form,
@@ -22,6 +21,7 @@ from arcpack.enumeration import (
 from arcpack.fas import feedback_arc_set_size
 from arcpack.instances import random_tournament
 from arcpack.packing import max_cycle_packing
+from oracles import all_labeled_tournaments
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
 

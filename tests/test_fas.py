@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcpack.digraph import Digraph, backward_arcs, is_acyclic
+from arcpack.digraph import Digraph, backward_arcs, hamiltonian_path, is_acyclic
 from arcpack.fas import (
     enumerate_min_fas,
     feedback_arc_set_size,
@@ -161,3 +161,20 @@ class TestMinFasPath:
         assert feedback_arc_set_size(d) == 2
         assert not min_fas_induces_path(d, fas)
         assert min_fas_path(d, fas) is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_hamiltonian_path_on_every_min_fas(self, seed):
+        rng = random.Random(seed)
+        for n in range(3, 9):
+            t = random_tournament(n, rng.randrange(1 << 32))
+            for fas in enumerate_min_fas(t, 1000):
+                if not fas:  # transitive: nothing to trace
+                    assert min_fas_path(t, fas) == ()
+                    continue
+                verts = sorted({u for a in fas for u in a})
+                index = {v: i for i, v in enumerate(verts)}
+                sub = Digraph.from_arcs(len(verts), [(index[u], index[v]) for u, v in fas])
+                path = hamiltonian_path(sub)
+                expected = None if path is None else tuple(verts[v] for v in path)
+                assert min_fas_path(t, fas) == expected
+                assert min_fas_induces_path(t, fas) == (path is not None)
