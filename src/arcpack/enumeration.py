@@ -239,7 +239,7 @@ def nu_lt_tau(t: Digraph, budget: Budget | None = None) -> bool:
     tau = min_feedback_arc_set(t).tau
     rep = max_cycle_packing(t, budget)
     if not rep.optimal:
-        raise BudgetExceeded("budget exhausted before the packing was settled")
+        raise BudgetExceeded(rep.stop_reason, "budget exhausted before the packing was settled")
     return rep.value < tau
 
 

@@ -13,11 +13,15 @@ Appending ``v`` to an ordered prefix ``S - v`` turns the arcs from ``v``
 back into the prefix into backward arcs.  ``f(V)`` is the minimum FAS
 size; a traceback recovers an optimal ordering and its backward arcs.
 
-The table has ``2**n`` entries, so the solver is capped by vertex count.
+The table has ``2**n`` entries, so the solver is capped by vertex count,
+and a caller may pass a ``time.perf_counter`` deadline: the table is
+filled in blocks of ``DEADLINE_BLOCK`` cells and the clock is read once
+per block, so the check costs nothing per cell.
 """
 
 from __future__ import annotations
 
+import time
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -27,6 +31,20 @@ from .digraph import Arc, Digraph, backward_arcs, bits, is_acyclic, topological_
 DEFAULT_MAX_VERTICES = 24
 
 ENUMERATE_MAX_VERTICES = 16
+
+DEADLINE_BLOCK = 4096
+
+
+class BudgetExceeded(RuntimeError):
+    """A search ran out of budget before its answer was settled.
+
+    ``reason`` names the limit that ran out: ``"node budget"`` or
+    ``"time budget"``.
+    """
+
+    def __init__(self, reason: str, message: str = "") -> None:
+        super().__init__(message or reason)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -38,9 +56,12 @@ class FasResult:
     arcs: frozenset[Arc]
 
 
-def _subset_costs(d: Digraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> array:
+def _subset_costs(
+    d: Digraph, max_vertices: int = DEFAULT_MAX_VERTICES, deadline: float | None = None
+) -> array:
     """The DP table f over all vertex subsets, indexed by bitmask; the
-    table has 2**n entries, so ``ValueError`` above ``max_vertices``."""
+    table has 2**n entries, so ``ValueError`` above ``max_vertices``.
+    ``BudgetExceeded`` once ``time.perf_counter()`` passes ``deadline``."""
     n = d.n
     if n > max_vertices:
         raise ValueError(
@@ -51,17 +72,20 @@ def _subset_costs(d: Digraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> array
     size = 1 << n
     f = array("i", bytes(4 * size))
     big = 1 << 30
-    for s in range(1, size):
-        best = big
-        t = s
-        while t:
-            low = t & -t
-            t ^= low
-            v = low.bit_length() - 1
-            c = f[s ^ low] + (out[v] & (s ^ low)).bit_count()
-            if c < best:
-                best = c
-        f[s] = best
+    for start in range(1, size, DEADLINE_BLOCK):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded("time budget")
+        for s in range(start, min(start + DEADLINE_BLOCK, size)):
+            best = big
+            t = s
+            while t:
+                low = t & -t
+                t ^= low
+                v = low.bit_length() - 1
+                c = f[s ^ low] + (out[v] & (s ^ low)).bit_count()
+                if c < best:
+                    best = c
+            f[s] = best
     return f
 
 
@@ -74,15 +98,16 @@ def _optimal_last(f: array, out: tuple[int, ...], s: int) -> Iterator[int]:
 
 
 def min_feedback_arc_set(
-    d: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES
+    d: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES, deadline: float | None = None
 ) -> FasResult:
     """Minimum feedback arc set with an optimal ordering as certificate.
 
     Deterministic: the traceback reconstructs the ordering from the back,
     choosing the smallest vertex label whenever several choices are
-    optimal.  Raises ``ValueError`` above the vertex cap.
+    optimal.  Raises ``ValueError`` above the vertex cap and
+    ``BudgetExceeded`` past ``deadline`` (see ``_subset_costs``).
     """
-    f = _subset_costs(d, max_vertices)
+    f = _subset_costs(d, max_vertices, deadline)
     s = (1 << d.n) - 1
     rev = []
     while s:
@@ -92,7 +117,8 @@ def min_feedback_arc_set(
     ordering = tuple(reversed(rev))
     arcs = backward_arcs(d, ordering)
     tau = f[(1 << d.n) - 1]
-    assert len(arcs) == tau
+    if len(arcs) != tau:
+        raise RuntimeError(f"ordering has {len(arcs)} backward arcs, the DP says tau={tau}")
     return FasResult(tau=tau, ordering=ordering, arcs=arcs)
 
 

@@ -126,7 +126,8 @@ def min_arc_cover_through(d: Digraph, v0: int) -> frozenset[Arc]:
         for w in range(n + 1):
             if cap[u][w] == 1 and w not in reach:
                 cut.append((u, v0 if w == n else w))
-    assert len(cut) == value
+    if len(cut) != value:
+        raise RuntimeError(f"residual cut has {len(cut)} arcs, the flow value is {value}")
     return frozenset(cut)
 
 

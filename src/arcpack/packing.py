@@ -20,8 +20,27 @@ Both reductions are exhaustive, so a failed search is a proof.  Below
 either some cycle through it is in the packing, or the arc is unused and
 can be deleted (dropping the feedback bound by exactly one).
 
-All searches honor a node/time budget; when it runs out the best packing
-found so far is returned with ``optimal=False``.
+The path-system search is exhaustive, so its cost is what it visits:
+
+* Per node it counts the realizations of every open requirement to
+  branch on the most constrained one.  Single-arc requirements that
+  start at the same vertex share one topological sweep of path counts
+  from that vertex (``_PathSystem.path_counts``).
+* Per solve it remembers the states it has refuted.  Whether a state is
+  feasible depends only on the available arcs and on the multiset of
+  open requirements, so one int packing both is a complete key
+  (``_state_key``).  The memo lives on the solve's ``_Tracker``, which
+  lets the full decider, every skip and pair search of the one-below
+  decider, and the deciders under the general branch-and-bound share
+  it.  Only refutations are stored, so a hit prunes a branch that would
+  fail anyway and answers and certificates are the same as without it.
+  A state refuted because some requirement has no realization at all is
+  not stored: counting again is cheaper.  At most ``MEMO_MAX_ENTRIES``
+  states are kept; later refutations are not stored.
+
+All searches, the feedback arc set DP included, honor a node/time
+budget; when it runs out the best packing found so far is returned with
+``optimal=False`` and ``stop_reason`` naming the limit that ran out.
 """
 
 from __future__ import annotations
@@ -33,15 +52,15 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .digraph import Arc, Digraph, bits, scc_masks, topological_order
-from .fas import DEFAULT_MAX_VERTICES, min_feedback_arc_set
+from .fas import DEFAULT_MAX_VERTICES, BudgetExceeded, min_feedback_arc_set
 
 Cycle = tuple[int, ...]
 
 BRUTEFORCE_MAX_VERTICES = 7
 
-
-class BudgetExceeded(RuntimeError):
-    """The node or time budget ran out before an answer was settled."""
+# Refuted path-system states kept per solve; a key of a 16-vertex
+# tournament's search takes about 150 bytes with its set slot.
+MEMO_MAX_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -71,6 +90,8 @@ class PackingReport:
 
     ``optimal`` is True only when the search proved no larger packing
     exists; otherwise ``value`` is a lower bound reached within budget.
+    ``stop_reason`` is ``"optimal"``, ``"node budget"`` or ``"time
+    budget"``: the limit that stopped the search, if any.
     """
 
     value: int
@@ -78,24 +99,34 @@ class PackingReport:
     optimal: bool
     nodes_explored: int
     elapsed: float
+    stop_reason: str
 
 
 class _Tracker:
-    """Counts search nodes and enforces the budget."""
+    """Counts search nodes, enforces the budget, and holds the solve's
+    memo of refuted path-system states."""
 
-    __slots__ = ("nodes", "max_nodes", "deadline")
+    __slots__ = ("nodes", "max_nodes", "deadline", "polls", "refuted")
 
     def __init__(self, budget: Budget):
         self.nodes = 0
         self.max_nodes = budget.max_nodes
         self.deadline = time.perf_counter() + budget.max_secs
+        self.polls = 0
+        self.refuted: set[int] = set()
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
-            raise BudgetExceeded
+            raise BudgetExceeded("node budget")
         if self.nodes % 4096 == 0 and time.perf_counter() > self.deadline:
-            raise BudgetExceeded
+            raise BudgetExceeded("time budget")
+
+    def poll(self) -> None:
+        """Check the deadline every 4096 calls without counting a node."""
+        self.polls += 1
+        if self.polls % 4096 == 0 and time.perf_counter() > self.deadline:
+            raise BudgetExceeded("time budget")
 
 
 # -- cycle utilities --------------------------------------------------
@@ -148,12 +179,15 @@ def is_valid_packing(d: Digraph, cycles: Iterable[Cycle]) -> bool:
 class _PathSystem:
     """Mutable availability of the arcs of a DAG plus path queries."""
 
-    __slots__ = ("n", "avail", "topo", "tracker")
+    __slots__ = ("n", "avail", "topo", "rank", "tracker")
 
     def __init__(self, n: int, avail_rows: list[int], topo: tuple[int, ...], tracker: _Tracker):
         self.n = n
         self.avail = avail_rows
         self.topo = topo
+        self.rank = [0] * n
+        for i, v in enumerate(topo):
+            self.rank[v] = i
         self.tracker = tracker
 
     def place(self, arcs: Iterable[Arc]) -> None:
@@ -164,43 +198,57 @@ class _PathSystem:
         for u, v in arcs:
             self.avail[u] |= 1 << v
 
+    def path_counts(self, src: int, forbid: int = 0) -> list[int]:
+        """For every vertex t, the number of directed src->t paths on
+        available arcs whose interior avoids the vertices of ``forbid``.
+
+        One sweep in topological order from ``src``; the graph is
+        acyclic, so ``counts[src]`` is 1.
+        """
+        avail = self.avail
+        counts = [0] * self.n
+        counts[src] = 1
+        blocked = forbid & ~(1 << src)
+        for v in self.topo[self.rank[src] :]:
+            c = counts[v]
+            if c and not blocked >> v & 1:
+                m = avail[v]
+                while m:
+                    low = m & -m
+                    counts[low.bit_length() - 1] += c
+                    m ^= low
+        return counts
+
     def count_paths(self, src: int, dst: int, forbid: int = 0) -> int:
         """Number of directed src->dst paths on available arcs that avoid
         the vertices of ``forbid`` (endpoints always allowed)."""
-        if src == dst:
-            return 1
-        forbid &= ~(1 << src) & ~(1 << dst)
-        counts = [0] * self.n
-        counts[src] = 1
-        started = False
-        for v in self.topo:
-            if v == src:
-                started = True
-            if not started or counts[v] == 0 or v == dst:
-                continue
-            for w in bits(self.avail[v] & ~forbid):
-                counts[w] += counts[v]
-        return counts[dst]
+        return self.path_counts(src, forbid)[dst]
 
     def iter_paths(self, src: int, dst: int, forbid: int = 0) -> Iterator[tuple[int, ...]]:
         """All src->dst paths on available arcs, lexicographic order.
 
         The graph is acyclic, so paths are automatically vertex-simple.
+        The walk only enters vertices that still reach ``dst``.
         """
         forbid &= ~(1 << src) & ~(1 << dst)
         avail = self.avail
+        alive = 1 << dst
+        for v in reversed(self.topo[self.rank[src] : self.rank[dst]]):
+            if avail[v] & alive and not forbid >> v & 1:
+                alive |= 1 << v
         path = [src]
 
         def rec(v: int) -> Iterator[tuple[int, ...]]:
             if v == dst:
                 yield tuple(path)
                 return
-            for w in bits(avail[v] & ~forbid):
+            for w in bits(avail[v] & alive):
                 path.append(w)
                 yield from rec(w)
                 path.pop()
 
-        yield from rec(src)
+        if alive >> src & 1:
+            yield from rec(src)
 
 
 def _path_arcs(path: tuple[int, ...]) -> list[Arc]:
@@ -217,10 +265,18 @@ def _mask(vertices: Iterable[int]) -> int:
 # A requirement is one cycle to be built:
 #   ("s", (x, y))         cycle through the single feedback arc x -> y
 #   ("c", (x, y), (u, w)) cycle through both x -> y and u -> w
-def _requirement_count(ps: _PathSystem, req: tuple) -> int:
+def _requirement_count(
+    ps: _PathSystem, req: tuple, sweeps: dict[int, list[int]] | None = None
+) -> int:
+    """Realizations of ``req``; ``sweeps`` caches ``path_counts`` by
+    source for the current availability."""
     if req[0] == "s":
         x, y = req[1]
-        return ps.count_paths(y, x)
+        if sweeps is None:
+            sweeps = {}
+        if y not in sweeps:
+            sweeps[y] = ps.path_counts(y)
+        return sweeps[y][x]
     x, y = req[1]
     u, w = req[2]
     c1 = ps.count_paths(y, u, forbid=(1 << x) | (1 << w))
@@ -252,20 +308,52 @@ def _requirement_placements(
             yield a1 + _path_arcs(p2), (x,) + p1 + p2[:-1]
 
 
+def _state_key(ps: _PathSystem, reqs: list[tuple]) -> int:
+    """One int for (available arcs, multiset of requirements).
+
+    From the low bits up: ``n`` in 7 bits, the ``n`` rows of ``n`` bits
+    each, then the sorted requirement codes, each nonzero and in
+    ``width`` bits, so distinct states never share a key.
+    """
+    n = ps.n
+    n2 = n * n
+    width = 4 * n.bit_length() + 1
+    codes = []
+    for req in reqs:
+        x, y = req[1]
+        if req[0] == "s":
+            codes.append(1 + x * n + y)
+        else:
+            u, w = req[2]
+            codes.append(1 + n2 + (x * n + y) * n2 + u * n + w)
+    key = 0
+    for code in sorted(codes):
+        key = key << width | code
+    for row in ps.avail:
+        key = key << n | row
+    return key << 7 | n
+
+
 def _solve_requirements(ps: _PathSystem, reqs: list[tuple]) -> list[Cycle] | None:
     """Realize all requirements with pairwise arc-disjoint paths.
 
     Picks the most constrained requirement first; a requirement with no
-    realization left refutes the whole branch.
+    realization left refutes the whole branch.  Refuted states go into
+    the tracker's memo and are refuted again without a search.
     """
     if not reqs:
         return []
+    refuted = ps.tracker.refuted
+    key = _state_key(ps, reqs)
+    if key in refuted:
+        return None
+    sweeps: dict[int, list[int]] = {}
     best_i = -1
     best_count = None
     for i, req in enumerate(reqs):
-        c = _requirement_count(ps, req)
+        c = _requirement_count(ps, req, sweeps)
         if c == 0:
-            return None
+            return None  # cheaper to count again than to store
         if best_count is None or c < best_count:
             best_i, best_count = i, c
     req = reqs[best_i]
@@ -277,6 +365,8 @@ def _solve_requirements(ps: _PathSystem, reqs: list[tuple]) -> list[Cycle] | Non
         ps.unplace(arcs)
         if sub is not None:
             return [cyc] + sub
+    if len(refuted) < MEMO_MAX_ENTRIES:
+        refuted.add(key)
     return None
 
 
@@ -285,7 +375,8 @@ def _fresh_system(d: Digraph, fas: frozenset[Arc], tracker: _Tracker) -> _PathSy
     for u, v in fas:
         rows[u] &= ~(1 << v)
     topo = topological_order(Digraph(d.n, rows))
-    assert topo is not None  # fas is a feedback arc set
+    if topo is None:
+        raise RuntimeError(f"{sorted(fas)} is not a feedback arc set: a cycle remains")
     return _PathSystem(d.n, rows, topo, tracker)
 
 
@@ -357,6 +448,7 @@ def _all_simple_paths(d: Digraph, src: int, dst: int, tracker: _Tracker) -> list
     path = [src]
 
     def rec(v: int, visited: int) -> None:
+        tracker.poll()
         if v == dst:
             tracker.tick()
             found.append(tuple(path))
@@ -387,7 +479,7 @@ def _find_general(d: Digraph, k: int, tracker: _Tracker) -> list[Cycle] | None:
     if _counting_bound(dc) < k:
         return None
     if dc.n <= DEFAULT_MAX_VERTICES:
-        fr = min_feedback_arc_set(dc)
+        fr = min_feedback_arc_set(dc, deadline=tracker.deadline)
         if fr.tau < k:
             return None
         if k == fr.tau:
@@ -456,11 +548,11 @@ def max_cycle_packing(d: Digraph, budget: Budget | None = None) -> PackingReport
     tracker = _Tracker(budget)
     t0 = time.perf_counter()
     best: list[Cycle] = greedy_short_cycles(d)
-    optimal = False
+    stop_reason = "optimal"
     try:
         ceiling = None  # known upper bound on the packing number
         if d.n <= DEFAULT_MAX_VERTICES:
-            fr = min_feedback_arc_set(d)
+            fr = min_feedback_arc_set(d, deadline=tracker.deadline)
             ceiling = fr.tau
             if len(best) < ceiling:
                 sol = _decide_full(d, fr.arcs, tracker)
@@ -479,18 +571,19 @@ def max_cycle_packing(d: Digraph, budget: Budget | None = None) -> PackingReport
                 break
             best = sol
             k += 1
-        optimal = True
-    except BudgetExceeded:
-        optimal = False
+    except BudgetExceeded as exc:
+        stop_reason = exc.reason
     cycles = tuple(sorted(normalize_cycle(c) for c in best))
     violation = packing_violation(d, cycles)
-    assert violation is None, violation
+    if violation is not None:
+        raise RuntimeError(f"solver built an invalid packing: {violation}")
     return PackingReport(
         value=len(cycles),
         cycles=cycles,
-        optimal=optimal,
+        optimal=stop_reason == "optimal",
         nodes_explored=tracker.nodes,
         elapsed=time.perf_counter() - t0,
+        stop_reason=stop_reason,
     )
 
 

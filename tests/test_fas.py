@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcpack.digraph import Digraph, backward_arcs, hamiltonian_path, is_acyclic
 from arcpack.fas import (
+    BudgetExceeded,
     enumerate_min_fas,
     feedback_arc_set_size,
     min_fas_induces_path,
@@ -70,6 +72,17 @@ class TestMinFeedbackArcSet:
     def test_two_cycle_needs_one_arc(self):
         d = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         assert feedback_arc_set_size(d) == 1
+
+
+class TestDeadline:
+    def test_dp_stops_past_deadline(self):
+        with pytest.raises(BudgetExceeded) as info:
+            min_feedback_arc_set(random_tournament(16, 1), deadline=0.0)
+        assert info.value.reason == "time budget"
+
+    def test_future_deadline_changes_nothing(self, paper_T):
+        later = time.perf_counter() + 600
+        assert min_feedback_arc_set(paper_T, deadline=later) == min_feedback_arc_set(paper_T)
 
 
 class TestEnumerateMinFas:

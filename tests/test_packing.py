@@ -1,8 +1,12 @@
+import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcpack import packing
 from arcpack.digraph import Digraph, topological_order
 from arcpack.fas import min_feedback_arc_set
 from arcpack.instances import (
@@ -13,7 +17,9 @@ from arcpack.instances import (
 )
 from arcpack.packing import (
     Budget,
+    BudgetExceeded,
     PackingReport,
+    _all_simple_paths,
     _decide_full,
     _decide_one_below,
     _PathSystem,
@@ -165,6 +171,33 @@ class TestEdgesOfThePipeline:
         assert rep.value <= 11
         assert is_valid_packing(paper_T, rep.cycles)
 
+    def test_stop_reason_optimal(self, paper_T):
+        assert max_cycle_packing(paper_T).stop_reason == "optimal"
+
+    def test_stop_reason_node_budget(self, paper_T):
+        assert max_cycle_packing(paper_T, Budget(max_nodes=1)).stop_reason == "node budget"
+
+    def test_time_budget_bounds_the_dp(self):
+        # the tau DP alone takes seconds at 20 vertices
+        t = random_tournament(20, 5)
+        start = time.perf_counter()
+        rep = max_cycle_packing(t, Budget(max_secs=0.3))
+        assert time.perf_counter() - start < 2.0
+        assert (rep.optimal, rep.stop_reason) == (False, "time budget")
+        assert rep.value > 0 and is_valid_packing(t, rep.cycles)
+
+    def test_simple_path_search_polls_the_clock(self):
+        # 9 mutually adjacent vertices and an unreachable target: the
+        # walk finds no path, so only the clock can stop it
+        arcs = [(u, v) for u in range(9) for v in range(9) if u != v]
+        d = Digraph.from_arcs(10, arcs)
+        tracker = _Tracker(Budget())
+        tracker.deadline = 0.0
+        with pytest.raises(BudgetExceeded) as info:
+            _all_simple_paths(d, 0, 9, tracker)
+        assert info.value.reason == "time budget"
+        assert tracker.nodes == 0
+
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("ARCPACK_BUDGET_NODES", "123")
         monkeypatch.setenv("ARCPACK_BUDGET_SECS", "9.5")
@@ -199,12 +232,15 @@ class TestPathSystem:
             if not arcs:
                 continue
             ps = _dag_system(n, arcs)
-            src, dst = rng.randrange(n), rng.randrange(n)
+            src = rng.randrange(n)
             forbid = rng.getrandbits(n)
-            paths = list(ps.iter_paths(src, dst, forbid))
-            if src != dst:
+            counts = ps.path_counts(src, forbid)
+            for dst in range(n):
+                paths = list(ps.iter_paths(src, dst, forbid))
+                assert counts[dst] == len(paths)
                 assert ps.count_paths(src, dst, forbid) == len(paths)
-            assert len(set(paths)) == len(paths)
+                assert len(set(paths)) == len(paths)
+                assert paths == sorted(paths)
 
     def test_place_unplace_roundtrip(self):
         ps = _dag_system(3, [(0, 1), (1, 2), (0, 2)])
@@ -272,6 +308,10 @@ class TestRequirements:
         ps = _dag_system(3, [(0, 1)])
         reqs = [("s", (1, 0)), ("s", (1, 0))]
         assert _solve_requirements(ps, reqs) is None
+        # the refutation is remembered, but one copy alone is feasible:
+        # the memo key counts duplicates
+        assert len(ps.tracker.refuted) == 1
+        assert _solve_requirements(ps, reqs[:1]) == [(1, 0)]
 
 
 class TestDeciders:
@@ -283,11 +323,76 @@ class TestDeciders:
         assert sol is not None and len(sol) == 4
         assert is_valid_packing(paper_T7, sol)
 
+    def test_refutations_do_not_block_one_below(self, paper_T7):
+        fr = min_feedback_arc_set(paper_T7)
+        shared = _Tracker(Budget())
+        assert _decide_full(paper_T7, fr.arcs, shared) is None
+        assert shared.refuted  # the failed full search filled the memo
+        sol = _decide_one_below(paper_T7, fr.arcs, shared)
+        assert sol == _decide_one_below(paper_T7, fr.arcs, _Tracker(Budget()))
+
     def test_full_decider_finds_tau_packing(self, paper_T11):
         fr = min_feedback_arc_set(paper_T11)
         sol = _decide_full(paper_T11, fr.arcs, _Tracker(Budget()))
         assert sol is not None and len(sol) == 17
         assert is_valid_packing(paper_T11, sol)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_packings.json").read_text())
+
+
+def _golden_graph(case):
+    if case["kind"] == "tournament":
+        return random_tournament(case["n"], case["seed"])
+    if case["kind"] == "digraph":
+        return random_digraph(case["n"], case["p"], case["seed"])
+    return random_oriented(case["n"], case["p"], case["seed"])
+
+
+def _golden_id(case):
+    return f"{case['kind']}-{case['n']}-{case['seed']}"
+
+
+def _same_as_golden(rep, case):
+    assert rep.optimal
+    assert rep.value == case["value"]
+    assert [list(c) for c in rep.cycles] == case["cycles"]
+
+
+class TestGoldenPackings:
+    """Values, certificates and node counts in ``golden_packings.json``
+    were recorded before path counts were shared per source and refuted
+    states memoized; neither may change an answer or a certificate."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
+    def test_same_packing(self, case):
+        rep = max_cycle_packing(_golden_graph(case))
+        _same_as_golden(rep, case)
+        assert rep.nodes_explored <= case["nodes_without_memo"]
+
+    def test_memo_cuts_nodes(self):
+        # 6700 nodes without the memo
+        rep = max_cycle_packing(random_tournament(12, 30))
+        assert rep.value == 14
+        assert rep.nodes_explored <= 4036
+
+    @pytest.mark.parametrize("cap", [0, 3])
+    def test_memo_cap_keeps_answers(self, monkeypatch, cap):
+        monkeypatch.setattr(packing, "MEMO_MAX_ENTRIES", cap)
+        for case in GOLDEN:
+            rep = max_cycle_packing(_golden_graph(case))
+            _same_as_golden(rep, case)
+            if cap == 0:
+                # no memo: the shared sweeps alone keep the search as it was
+                assert rep.nodes_explored == case["nodes_without_memo"]
+
+    def test_memo_stays_under_cap(self, monkeypatch):
+        monkeypatch.setattr(packing, "MEMO_MAX_ENTRIES", 3)
+        t = random_tournament(12, 30)
+        fr = min_feedback_arc_set(t)
+        tracker = _Tracker(Budget())
+        assert len(_decide_full(t, fr.arcs, tracker)) == fr.tau
+        assert len(tracker.refuted) == 3  # about 1600 without the cap
 
 
 class TestTriangles:
