@@ -53,8 +53,11 @@ class Digraph:
         self.out = rows
         inn = [0] * n
         for u, row in enumerate(rows):
-            for v in bits(row):
-                inn[v] |= 1 << u
+            ubit = 1 << u
+            while row:
+                low = row & -row
+                inn[low.bit_length() - 1] |= ubit
+                row ^= low
         self.inn = tuple(inn)
 
     @classmethod
@@ -63,15 +66,13 @@ class Digraph:
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         rows = [0] * n
-        seen = set()
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
-            if (u, v) in seen:
+            if rows[u] >> v & 1:
                 raise ValueError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
             rows[u] |= 1 << v
         return cls(n, rows)
 
@@ -357,9 +358,8 @@ def parse_graph(text: str) -> Digraph:
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
+        if line and line[0] != "#":
+            rows.append((lineno, line))
     if not rows:
         raise ValueError("empty graph text")
     lineno, header = rows[0]
@@ -378,11 +378,11 @@ def parse_graph(text: str) -> Digraph:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: arc line must be 'u v', got {line!r}")
+        u, v = parts
         try:
-            u, v = int(parts[0]), int(parts[1])
+            arcs.append((int(u), int(v)))
         except ValueError:
             raise ValueError(f"line {lineno}: arc endpoints must be integers") from None
-        arcs.append((u, v))
     try:
         return Digraph.from_arcs(n, arcs)
     except ValueError as exc:

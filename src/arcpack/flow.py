@@ -7,6 +7,16 @@ maximum flow value equals the maximum number of such cycles, and the
 minimum cut maps back to a smallest arc set whose removal leaves no
 cycle through ``v0``.
 
+The network is held in bitset rows, one int per node: capacity, flow and
+the flow's transpose.  Augmenting cancels opposing flow before adding
+flow, so each arc carries 0 or 1 and no pair carries flow both ways: the
+residual row of ``v`` is exactly ``(cap & ~flow) | flow into v``.  The
+search takes a level's vertices in queue order and each one's new
+residual neighbors in ascending order, the order of a scan over the
+columns of a capacity matrix, and stops at the first vertex whose row
+holds the sink, the sink's parent in that scan.  The augmenting paths,
+witness cycles and cut thus do not depend on the representation.
+
 Also hosts the sufficient condition for a vertex adjacent to all others
 to lie on out-degree many arc-disjoint cycles.
 """
@@ -19,47 +29,53 @@ from .digraph import Arc, Digraph, bits
 from .packing import Cycle, normalize_cycle
 
 
-def _split_network(d: Digraph, v0: int) -> list[list[int]]:
-    """Capacity matrix of the split graph; node n is the sink copy of v0.
+def _max_flow(d: Digraph, v0: int) -> tuple[int, list[int], list[int], int]:
+    """Edmonds-Karp from ``v0`` to its sink copy, node ``d.n``.
 
     Arcs into ``v0`` are redirected to the sink copy, so nothing enters
-    the source and nothing leaves the sink.
+    the source and nothing leaves the sink.  Returns the flow value, the
+    capacity and flow rows, and the mask of nodes the final, failed
+    search reached in the residual graph.
     """
+    if not 0 <= v0 < d.n:
+        raise ValueError(f"vertex {v0} out of range")
     n = d.n
-    cap = [[0] * (n + 1) for _ in range(n + 1)]
-    for u in range(n):
-        for w in bits(d.out[u]):
-            cap[u][n if w == v0 else w] = 1
-    return cap
-
-
-def _max_flow(cap: list[list[int]], source: int, sink: int) -> tuple[int, list[list[int]]]:
-    """Edmonds-Karp with neighbors scanned in ascending order."""
-    size = len(cap)
-    flow = [[0] * size for _ in range(size)]
+    source_bit, sink_bit = 1 << v0, 1 << n
+    cap = [(row & ~source_bit) | sink_bit if row & source_bit else row for row in d.out]
+    cap.append(0)
+    fl = [0] * (n + 1)
+    fin = [0] * (n + 1)  # fin[w] has bit v when fl[v] has bit w
+    parent = [0] * (n + 1)
     value = 0
     while True:
-        parent = [-1] * size
-        parent[source] = source
-        queue = [source]
-        while queue and parent[sink] == -1:
+        seen = source_bit
+        queue = [v0]
+        while queue and not seen & sink_bit:
             nxt = []
             for v in queue:
-                for w in range(size):
-                    if parent[w] == -1 and cap[v][w] - flow[v][w] + flow[w][v] > 0:
-                        parent[w] = v
-                        nxt.append(w)
+                new = ((cap[v] & ~fl[v]) | fin[v]) & ~seen
+                seen |= new
+                if new & sink_bit:
+                    parent[n] = v
+                    break
+                while new:
+                    low = new & -new
+                    w = low.bit_length() - 1
+                    parent[w] = v
+                    nxt.append(w)
+                    new ^= low
             queue = nxt
-        if parent[sink] == -1:
-            return value, flow
-        w = sink
-        while w != source:
+        if not seen & sink_bit:
+            return value, cap, fl, seen
+        w = n
+        while w != v0:
             v = parent[w]
-            # prefer canceling opposing flow over adding new flow
-            if flow[w][v] > 0:
-                flow[w][v] -= 1
+            if fl[w] >> v & 1:  # cancel opposing flow before adding flow
+                fl[w] ^= 1 << v
+                fin[v] ^= 1 << w
             else:
-                flow[v][w] += 1
+                fl[v] |= 1 << w
+                fin[w] |= 1 << v
             w = v
         value += 1
 
@@ -71,19 +87,17 @@ def max_cycles_through(d: Digraph, v0: int) -> tuple[int, tuple[Cycle, ...]]:
     smallest-index arcs first and discards any closed detour not through
     ``v0``, so each witness is a simple cycle.
     """
-    if not 0 <= v0 < d.n:
-        raise ValueError(f"vertex {v0} out of range")
+    value, _, fl, _ = _max_flow(d, v0)
     n = d.n
-    cap = _split_network(d, v0)
-    value, flow = _max_flow(cap, v0, n)
     cycles = []
     for _ in range(value):
         walk = [v0]
         pos = {v0: 0}
         v = v0
         while v != n:
-            w = next(w for w in range(n + 1) if flow[v][w] > 0)
-            flow[v][w] -= 1
+            low = fl[v] & -fl[v]
+            fl[v] ^= low
+            w = low.bit_length() - 1
             if w in pos:
                 # The walk closed a detour w .. v -> w not through v0.
                 # Its arcs are already consumed, so dropping the segment
@@ -108,24 +122,9 @@ def min_arc_cover_through(d: Digraph, v0: int) -> frozenset[Arc]:
     By flow duality its size equals ``max_cycles_through`` and it lies on
     the residual cut: arcs from source-reachable to unreachable nodes.
     """
-    if not 0 <= v0 < d.n:
-        raise ValueError(f"vertex {v0} out of range")
+    value, cap, _, reach = _max_flow(d, v0)
     n = d.n
-    cap = _split_network(d, v0)
-    value, flow = _max_flow(cap, v0, n)
-    reach = {v0}
-    queue = [v0]
-    while queue:
-        v = queue.pop()
-        for w in range(n + 1):
-            if w not in reach and cap[v][w] - flow[v][w] + flow[w][v] > 0:
-                reach.add(w)
-                queue.append(w)
-    cut = []
-    for u in reach:
-        for w in range(n + 1):
-            if cap[u][w] == 1 and w not in reach:
-                cut.append((u, v0 if w == n else w))
+    cut = [(u, v0 if w == n else w) for u in bits(reach) for w in bits(cap[u] & ~reach)]
     if len(cut) != value:
         raise RuntimeError(f"residual cut has {len(cut)} arcs, the flow value is {value}")
     return frozenset(cut)

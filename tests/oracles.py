@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 from typing import Iterator
 
 from arcpack.digraph import Digraph
+from arcpack.instances import random_oriented, random_tournament
 
 
 def random_digraph(n: int, p: float, seed: int) -> Digraph:
@@ -23,6 +24,15 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
             if u != v and rng.random() < p:
                 rows[u] |= 1 << v
     return Digraph(n, rows)
+
+
+def golden_graph(case: dict) -> Digraph:
+    """The seeded random graph a golden-file case names by kind, n, p, seed."""
+    if case["kind"] == "tournament":
+        return random_tournament(case["n"], case["seed"])
+    if case["kind"] == "digraph":
+        return random_digraph(case["n"], case["p"], case["seed"])
+    return random_oriented(case["n"], case["p"], case["seed"])
 
 
 def tau_perm(d: Digraph) -> int:

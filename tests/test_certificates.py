@@ -25,9 +25,9 @@ def _fas_backward_arcs(patch):
 def _flow_cut(patch):
     real = flow._max_flow
 
-    def inflated(cap, source, sink):
-        value, flows = real(cap, source, sink)
-        return value + 1, flows
+    def inflated(d, v0):
+        value, *network = real(d, v0)
+        return value + 1, *network
 
     patch(flow, "_max_flow", inflated)
     return "residual cut", lambda: flow.min_arc_cover_through(builtin("paper-T11"), 0)

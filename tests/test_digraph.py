@@ -234,6 +234,20 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=msg):
             parse_graph(text)
 
+    @pytest.mark.parametrize(
+        "arc_lines,msg",
+        [
+            ("0 1\n0 1\n0 5\n", "duplicate arc (0, 1)"),
+            ("0 5\n0 1\n0 1\n", "arc (0, 5) out of range for n=3"),
+            ("0 1\n0 1\n2 2\n", "duplicate arc (0, 1)"),
+            ("2 2\n0 1\n0 1\n", "self-loop (2, 2) not allowed"),
+        ],
+    )
+    def test_first_bad_arc_in_file_order(self, arc_lines, msg):
+        with pytest.raises(ValueError) as info:
+            parse_graph("3 3\n" + arc_lines)
+        assert str(info.value) == f"invalid graph: {msg}"
+
     @settings(max_examples=60, deadline=None)
     @given(digraphs())
     def test_roundtrip_random(self, d):

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,12 @@ from arcpack.flow import (
 )
 from arcpack.instances import random_oriented, random_tournament, vertex_of
 from arcpack.packing import is_valid_packing
-from oracles import cycles_through_brute, random_digraph, simple_cycles_through
+from oracles import (
+    cycles_through_brute,
+    golden_graph,
+    random_digraph,
+    simple_cycles_through,
+)
 
 
 class TestMaxCyclesThrough:
@@ -129,3 +136,63 @@ class TestGuaranteeSweeps:
     @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
     def test_random_oriented(self, n, seed):
         assert verify_universal_vertex_cycles(random_oriented(n, 0.5, seed)).ok
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_flows.json").read_text())
+
+
+class TestGoldenFlows:
+    """``golden_flows.json`` holds value, witness cycles and sorted cut
+    at every vertex, recorded with the dense-matrix Edmonds-Karp that the
+    bitset rows replaced.  The oriented and the 2-cycle graph each need
+    an augmenting path that cancels opposing flow."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c['kind']}-{c['n']}-{c['seed']}")
+    def test_same_flows(self, case):
+        d = golden_graph(case)
+        for v, (value, cycles, cut) in enumerate(case["flows"]):
+            got_value, got_cycles = max_cycles_through(d, v)
+            assert (got_value, [list(c) for c in got_cycles]) == (value, cycles), v
+            assert [list(a) for a in sorted(min_arc_cover_through(d, v))] == cut, v
+
+
+def _graphs():
+    n = st.integers(8, 40)
+    seed = st.integers(0, 2**32 - 1)
+    return st.one_of(
+        st.builds(random_tournament, n, seed),
+        st.builds(random_oriented, n, st.floats(0.05, 0.5), seed),
+        st.builds(random_digraph, n, st.floats(0.05, 0.4), seed),
+    )
+
+
+def _on_cycle_through(d, v0):
+    """Whether ``v0`` reaches itself again along the arcs of ``d``."""
+    todo = list(d.out_neighbors(v0))
+    seen = set(todo)
+    while todo:
+        for w in d.out_neighbors(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return v0 in seen
+
+
+class TestIndependentChecks:
+    """Checks that need no reference solver, at orders above the
+    brute-force oracles' reach."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_graphs(), st.data())
+    def test_certificates_and_invariance(self, d, data):
+        v0 = data.draw(st.integers(0, d.n - 1))
+        value, cycles = max_cycles_through(d, v0)
+        cut = min_arc_cover_through(d, v0)
+        assert value == len(cycles) == len(cut)
+        assert is_valid_packing(d, cycles)
+        assert all(v0 in c for c in cycles)
+        assert cut <= set(d.arcs())
+        assert not _on_cycle_through(d.without_arcs(cut), v0)
+        perm = data.draw(st.permutations(range(d.n)))
+        assert max_cycles_through(d.relabeled(perm), perm[v0])[0] == value
+        assert max_cycles_through(d.transpose(), v0)[0] == value

@@ -39,6 +39,7 @@ from arcpack.packing import (
     packing_violation,
 )
 from oracles import (
+    golden_graph,
     random_digraph,
     triangle_count_through,
     triangles_through_brute,
@@ -341,14 +342,6 @@ class TestDeciders:
 GOLDEN = json.loads((Path(__file__).parent / "golden_packings.json").read_text())
 
 
-def _golden_graph(case):
-    if case["kind"] == "tournament":
-        return random_tournament(case["n"], case["seed"])
-    if case["kind"] == "digraph":
-        return random_digraph(case["n"], case["p"], case["seed"])
-    return random_oriented(case["n"], case["p"], case["seed"])
-
-
 def _golden_id(case):
     return f"{case['kind']}-{case['n']}-{case['seed']}"
 
@@ -366,7 +359,7 @@ class TestGoldenPackings:
 
     @pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
     def test_same_packing(self, case):
-        rep = max_cycle_packing(_golden_graph(case))
+        rep = max_cycle_packing(golden_graph(case))
         _same_as_golden(rep, case)
         assert rep.nodes_explored <= case["nodes_without_memo"]
 
@@ -380,7 +373,7 @@ class TestGoldenPackings:
     def test_memo_cap_keeps_answers(self, monkeypatch, cap):
         monkeypatch.setattr(packing, "MEMO_MAX_ENTRIES", cap)
         for case in GOLDEN:
-            rep = max_cycle_packing(_golden_graph(case))
+            rep = max_cycle_packing(golden_graph(case))
             _same_as_golden(rep, case)
             if cap == 0:
                 # no memo: the shared sweeps alone keep the search as it was
