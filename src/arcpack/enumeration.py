@@ -7,10 +7,18 @@ smaller-positioned vertex beats the larger.  The canonical code is the
 lexicographically smallest bit string over all vertex relabelings; two
 tournaments are isomorphic exactly when their codes agree.
 
-The minimizing search places one vertex per position and compares the
-growing bit prefix against the best known code, pruning any branch that
-can no longer reach the minimum.  The same search counts how many
-permutations achieve the minimum, which is the automorphism group size.
+The minimizing search places one vertex per position and keeps the code
+prefix as one int.  Placing a vertex at position ``d`` appends its chunk,
+the ``d`` bits "the vertex at position i beats it" in position order;
+each unplaced vertex carries its next chunk as an int, which grows by one
+shift per placement.  A branch survives only while its prefix is at most
+``best >> shift``, the same-length prefix of the best code known.  One
+look-ahead prunes earlier: while every chunk so far is zero, only the
+vertices beating all placed ones can add another zero chunk, so a branch
+at depth ``d`` with ``k`` such vertices left is cut when the best code
+starts with more than ``d + k`` zero chunks.  Both rules cut only
+branches that cannot reach the minimum, so the search still visits every
+permutation achieving it; their count is the automorphism group size.
 
 Representatives of order ``n`` are generated by extending each order
 ``n-1`` representative with every possible orientation pattern toward a
@@ -37,7 +45,7 @@ from .packing import (
     mindeg_triangle_packing_holds,
 )
 
-ENUMERATION_MAX_ORDER = 7
+ENUMERATION_MAX_ORDER = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -84,48 +92,61 @@ def canonical_form(t: Digraph) -> tuple[CanonicalCode, int]:
     n = t.n
     if n == 1:
         return CanonicalCode(1, 0), 1
+    out, inn = t.out, t.inn
+    total = n * (n - 1) // 2
+    last = n - 1
+
+    def zero_run(code: int) -> int:
+        # leading chunks of the code that are all zero (chunk 0 is empty)
+        lead = total - code.bit_length()
+        k = 1
+        while k < n and k * (k + 1) // 2 <= lead:
+            k += 1
+        return k
 
     # Seed with the identity labeling so pruning works from the start.
-    best: list[int] = []
+    best = 0
     for j in range(1, n):
         for i in range(j):
-            best.append(1 if t.has_arc(i, j) else 0)
+            best = (best << 1) | ((out[i] >> j) & 1)
+    best_run = zero_run(best)
     aut = 0
-    cur: list[int] = []
-    chosen: list[int] = []
-    used = [False] * n
 
-    def rec() -> None:
-        nonlocal aut, best
-        depth = len(chosen)
-        if depth == n:
-            if cur == best:
-                aut += 1
-            else:  # pruning guarantees cur <= best here
-                best = cur.copy()
-                aut = 1
-            return
-        for v in range(n):
-            if used[v]:
+    def rec(depth: int, prefix: int, rem: list[tuple[int, int]], dom: int) -> None:
+        # ``rem`` pairs each unplaced vertex with its next chunk; ``dom`` is
+        # the unplaced vertices that beat every placed one, read while
+        # ``prefix`` is zero.
+        nonlocal best, best_run, aut
+        shift = total - depth * (depth + 1) // 2
+        base = prefix << depth
+        nxt = depth + 1
+        for u, chunk in rem:
+            p = base | chunk
+            if p > best >> shift:
                 continue
-            base = len(cur)
-            for i in range(depth):
-                cur.append(1 if t.has_arc(chosen[i], v) else 0)
-            # compare the whole prefix against the current best
-            if cur <= best[: len(cur)]:
-                used[v] = True
-                chosen.append(v)
-                rec()
-                chosen.pop()
-                used[v] = False
-            del cur[base:]
+            if p == 0:
+                dom_u = dom & inn[u]
+                if nxt + dom_u.bit_count() < best_run:
+                    continue  # cannot match the zero run of the best code
+            else:
+                dom_u = 0
+            row = out[u]
+            child = [(w, (c << 1) | ((row >> w) & 1)) for w, c in rem if w != u]
+            if nxt < last:
+                rec(nxt, p, child, dom_u)
+                continue
+            # one vertex left: its chunk completes the code
+            p = (p << nxt) | child[0][1]
+            if p == best:
+                aut += 1
+            elif p < best:
+                best, best_run, aut = p, zero_run(p), 1
 
-    rec()
-    value = 0
-    for b in best:
-        value = (value << 1) | b
+    # large in-degree first: long zero runs tighten the bound early
+    order = sorted(range(n), key=lambda v: -inn[v].bit_count())
+    rec(0, 0, [(v, 0) for v in order], (1 << n) - 1)
     # the identity seed was not a search leaf; it never inflates aut
-    return CanonicalCode(n, value), aut
+    return CanonicalCode(n, best), aut
 
 
 def canonical_code(t: Digraph) -> CanonicalCode:
@@ -188,7 +209,8 @@ def labeled_count_identity_holds(n: int) -> bool:
     fact = factorial(n)
     total = 0
     for _, aut in _classes(n):
-        assert fact % aut == 0
+        if fact % aut:
+            raise RuntimeError(f"|Aut| = {aut} does not divide {n}! at order {n}")
         total += fact // aut
     return total == 1 << (n * (n - 1) // 2)
 

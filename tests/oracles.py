@@ -58,6 +58,26 @@ def all_labeled_tournaments(n: int) -> Iterator[Digraph]:
         yield Digraph(n, rows)
 
 
+def canonical_brute(t: Digraph) -> tuple[int, int]:
+    """Smallest code over all n! relabelings, with how many reach it.
+
+    A relabeling lists the vertex at each position; its code reads the
+    pairs grouped by the later position, (0,1), (0,2), (1,2), (0,3), ...,
+    most significant first, a 1 meaning the earlier vertex beats the later.
+    """
+    best, count = None, 0
+    for perm in permutations(range(t.n)):
+        code = 0
+        for j in range(1, t.n):
+            for i in range(j):
+                code = (code << 1) | t.has_arc(perm[i], perm[j])
+        if best is None or code < best:
+            best, count = code, 1
+        elif code == best:
+            count += 1
+    return best, count
+
+
 def scc_brute(d: Digraph) -> set[frozenset[int]]:
     """Strong components as classes of mutual reachability, by transitive
     closure over vertex sets."""

@@ -13,8 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from arcpack import fas, flow, packing
+from arcpack import enumeration, fas, flow, packing
 from arcpack.instances import builtin
+
+
+def _enumeration_aut(patch):
+    # no order-3 class has |Aut| = 4, since 4 does not divide 3! = 6
+    patch(enumeration, "_classes", lambda n: ((0, 4),))
+    return "4 does not divide 3! at order 3", lambda: enumeration.labeled_count_identity_holds(3)
 
 
 def _fas_backward_arcs(patch):
@@ -50,6 +56,7 @@ def _packing_cycles(patch):
 
 
 CASES = {
+    "enumeration.aut": _enumeration_aut,
     "fas.backward_arcs": _fas_backward_arcs,
     "flow.cut": _flow_cut,
     "packing.feedback_set": _packing_feedback_set,

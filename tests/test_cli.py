@@ -123,9 +123,9 @@ class TestEnum:
         assert lines[-1] == "matched=2 classes=456"
         assert canonical_code(paper_T7).hex() in lines[:-1]
 
-    def test_rejects_order_8(self, capsys):
+    def test_rejects_order_9(self, capsys):
         with pytest.raises(SystemExit):
-            main(["enum", "8"])
+            main(["enum", "9"])
 
     def test_predicate_budget_exhaustion(self, capsys, monkeypatch):
         monkeypatch.setenv("ARCPACK_BUDGET_NODES", "1")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from arcpack.digraph import Digraph
 from arcpack.enumeration import (
     PREDICATES,
     CanonicalCode,
+    _classes,
     aut_group_size,
     canonical_code,
     canonical_form,
@@ -21,9 +23,23 @@ from arcpack.enumeration import (
 from arcpack.fas import feedback_arc_set_size
 from arcpack.instances import random_tournament
 from arcpack.packing import max_cycle_packing
-from oracles import all_labeled_tournaments
+from oracles import all_labeled_tournaments, canonical_brute
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
+
+# sha256 of the class table, one "value:aut" line per class in code order,
+# recorded with the list-based search that preceded the int-prefix one
+# (order 8 with its order cap lifted)
+GOLDEN_DIGESTS = {
+    1: "4ea437cacd9ae36c26f66a0e6cb928dc583b669a1f1e01ba67a3c45c9929e875",
+    2: "4ea437cacd9ae36c26f66a0e6cb928dc583b669a1f1e01ba67a3c45c9929e875",
+    3: "a769f68e9942c8c11abf230555edb2f622673f7174a856f1b576051d5a7afe5d",
+    4: "eac4687ae3700dece28d2cbd507570b26cb1f9520d627c38ef906bca2ee0e8e0",
+    5: "60379850c5f10b7f85fc7b6a17e973d59c43fd761500c03b8ba4a39bfa85af3a",
+    6: "1420cd9688c58a5b64e9313546520bef1a96beda51ea9b4deebeade71f91435b",
+    7: "1f2b8f0cd9e991ec9f952d298d19345a1dee6e5bfd134fa14c5659d6aba565cf",
+    8: "0b0e38e0dd227f20ede8502c335a2a5736bbdd35810b0ec4021c15a80b4cf829",
+}
 
 
 def tournaments(min_n=2, max_n=7):
@@ -49,6 +65,12 @@ class TestCanonicalForm:
             if t.relabeled(p) == t
         )
         assert aut_group_size(t) == brute
+
+    @settings(max_examples=60, deadline=None)
+    @given(tournaments(max_n=6))
+    def test_matches_relabeling_brute(self, t):
+        code, aut = canonical_form(t)
+        assert (code.value, aut) == canonical_brute(t)
 
     def test_transitive_is_rigid(self):
         t = Digraph.from_arcs(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -76,8 +98,8 @@ class TestCanonicalForm:
             canonical_code(Digraph.from_arcs(3, [(0, 1)]))
 
     def test_rejects_large_order(self):
-        with pytest.raises(ValueError, match="capped at order 7"):
-            canonical_code(random_tournament(8, 1))
+        with pytest.raises(ValueError, match="capped at order 8"):
+            canonical_code(random_tournament(9, 1))
 
 
 class TestEnumeration:
@@ -87,6 +109,15 @@ class TestEnumeration:
 
     def test_identity_all_orders(self):
         assert all(labeled_count_identity_holds(n) for n in range(1, 8))
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_DIGESTS))
+    def test_golden_class_table(self, n):
+        text = "".join(f"{value}:{aut}\n" for value, aut in _classes(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[n]
+
+    def test_order_8(self):
+        assert class_count(8) == 6880
+        assert labeled_count_identity_holds(8)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_full_scan_cross_check(self, n):
@@ -102,7 +133,7 @@ class TestEnumeration:
             assert codes == sorted(codes)
 
     def test_order_bounds(self):
-        for bad in (0, 8):
+        for bad in (0, 9):
             with pytest.raises(ValueError):
                 enumerate_tournaments(bad)
 
