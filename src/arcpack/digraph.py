@@ -13,15 +13,11 @@ containing each vertex exactly once.
 from __future__ import annotations
 
 import heapq
-from array import array
 from typing import Iterable, Iterator
 
 Arc = tuple[int, int]
 
 MAX_VERTICES = 64
-
-# Subset-DP feasibility cap for hamiltonian_path: the table has 2**n rows.
-HAMILTONIAN_PATH_MAX = 24
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -295,56 +291,6 @@ def is_eulerian(d: Digraph) -> bool:
     if any(d.out_degree(v) != d.in_degree(v) for v in range(d.n)):
         return False
     return is_strongly_connected(d)
-
-
-# -- hamiltonian paths ------------------------------------------------
-
-
-def hamiltonian_path(d: Digraph) -> tuple[int, ...] | None:
-    """A directed path visiting every vertex exactly once, or ``None``.
-
-    Subset dynamic program: ``ends[S]`` holds the bitmask of vertices that
-    can terminate a path covering exactly the set ``S``.  Capped at
-    n <= 24 because the table has 2**n rows.  Deterministic traceback
-    prefers smaller vertex labels.
-    """
-    n = d.n
-    if n > HAMILTONIAN_PATH_MAX:
-        raise ValueError(
-            f"hamiltonian_path supports at most {HAMILTONIAN_PATH_MAX} vertices, got {n}"
-        )
-    if n == 1:
-        return (0,)
-    size = 1 << n
-    ends = array("q", bytes(8 * size))
-    for v in range(n):
-        ends[1 << v] = 1 << v
-    full = size - 1
-    for s in range(3, size):
-        if s & (s - 1) == 0:
-            continue
-        e = 0
-        t = s
-        while t:
-            low = t & -t
-            t ^= low
-            v = low.bit_length() - 1
-            if ends[s ^ low] & d.inn[v]:
-                e |= low
-        ends[s] = e
-    if ends[full] == 0:
-        return None
-    # Rebuild one path back to front, smallest candidate first.
-    s = full
-    v = (ends[full] & -ends[full]).bit_length() - 1
-    path = [v]
-    while s != 1 << v:
-        s ^= 1 << v
-        cand = ends[s] & d.inn[v]
-        v = (cand & -cand).bit_length() - 1
-        path.append(v)
-    path.reverse()
-    return tuple(path)
 
 
 # -- text format ------------------------------------------------------

@@ -61,9 +61,7 @@ def _tournament_from_backward(n: int, backward: Iterable[Arc]) -> Digraph:
         for v in range(u + 1, n):
             if (v, u) not in back:
                 arcs.append((u, v))
-    t = Digraph.from_arcs(n, arcs)
-    assert t.is_tournament()
-    return t
+    return Digraph.from_arcs(n, arcs)
 
 
 # Backward arcs of the 13-vertex reference tournament, in display letters:
@@ -128,7 +126,14 @@ def triangle_family_T() -> tuple[tuple[int, int, int], ...]:
     )
 
 
-BUILTIN_NAMES = ("paper-T", "paper-Tprime", "paper-T7", "paper-T11")
+_BUILTINS = {
+    "paper-T": paper_T,
+    "paper-Tprime": paper_Tprime,
+    "paper-T7": paper_T7,
+    "paper-T11": paper_T11,
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> Digraph:
@@ -137,14 +142,8 @@ def builtin(name: str) -> Digraph:
     Accepts the four reference tournaments plus ``transitive-N`` for any
     ``N`` between 1 and 64.
     """
-    table = {
-        "paper-T": paper_T,
-        "paper-Tprime": paper_Tprime,
-        "paper-T7": paper_T7,
-        "paper-T11": paper_T11,
-    }
-    if name in table:
-        return table[name]()
+    if name in _BUILTINS:
+        return _BUILTINS[name]()
     if name.startswith("transitive-"):
         try:
             n = int(name.split("-", 1)[1])

@@ -15,8 +15,10 @@ that pigeonhole is:
   of ``F`` and the rest use one each.  Both reduce to the same path
   system with one requirement dropped or merged.
 
-Both reductions are exhaustive, so a failed search is a proof.  Below
-``tau - 1`` the solver falls back to branching on a feedback arc:
+One decider, ``_decide``, searches that path system for a packing of
+size ``tau - slack`` with slack 0 or 1.  Both reductions are
+exhaustive, so a failed search is a proof.  Below ``tau - 1`` the
+solver falls back to branching on a feedback arc:
 either some cycle through it is in the packing, or the arc is unused and
 can be deleted (dropping the feedback bound by exactly one).
 
@@ -30,10 +32,10 @@ The path-system search is exhaustive, so its cost is what it visits:
   feasible depends only on the available arcs and on the multiset of
   open requirements, so one int packing both is a complete key
   (``_state_key``).  The memo lives on the solve's ``_Tracker``, which
-  lets the full decider, every skip and pair search of the one-below
-  decider, and the deciders under the general branch-and-bound share
-  it.  Only refutations are stored, so a hit prunes a branch that would
-  fail anyway and answers and certificates are the same as without it.
+  lets every shape of every ``_decide`` call, those under the general
+  branch-and-bound included, share it.  Only refutations are stored, so
+  a hit prunes a branch that would fail anyway and answers and
+  certificates are the same as without it.
   A state refuted because some requirement has no realization at all is
   not stored: counting again is cheaper.  At most ``MEMO_MAX_ENTRIES``
   states are kept; later refutations are not stored.
@@ -48,11 +50,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .digraph import Arc, Digraph, bits, scc_masks, topological_order
-from .fas import DEFAULT_MAX_VERTICES, BudgetExceeded, min_feedback_arc_set
+from .fas import DEADLINE_BLOCK, DEFAULT_MAX_VERTICES, BudgetExceeded, min_feedback_arc_set
 
 Cycle = tuple[int, ...]
 
@@ -119,13 +121,13 @@ class _Tracker:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetExceeded("node budget")
-        if self.nodes % 4096 == 0 and time.perf_counter() > self.deadline:
-            raise BudgetExceeded("time budget")
+        self.poll()
 
     def poll(self) -> None:
-        """Check the deadline every 4096 calls without counting a node."""
+        """Check the deadline once per ``DEADLINE_BLOCK`` calls, ticks
+        included, without counting a node."""
         self.polls += 1
-        if self.polls % 4096 == 0 and time.perf_counter() > self.deadline:
+        if self.polls % DEADLINE_BLOCK == 0 and time.perf_counter() > self.deadline:
             raise BudgetExceeded("time budget")
 
 
@@ -370,47 +372,37 @@ def _solve_requirements(ps: _PathSystem, reqs: list[tuple]) -> list[Cycle] | Non
     return None
 
 
-def _fresh_system(d: Digraph, fas: frozenset[Arc], tracker: _Tracker) -> _PathSystem:
+def _decide(d: Digraph, fas: frozenset[Arc], slack: int, tracker: _Tracker) -> list[Cycle] | None:
+    """Packing of size ``len(fas) - slack`` where ``fas`` is a minimum FAS
+    and ``slack`` is 0 or 1.
+
+    Exhaustive over the shapes such a packing can have.  Slack 0: every
+    FAS arc used exactly once.  Slack 1: one FAS arc unused entirely
+    (tried in sorted order), or one cycle through exactly two FAS arcs
+    (in ``combinations`` order).  All shapes search one path system: a
+    refuted search leaves its availability as it found it.
+    """
     rows = list(d.out)
     for u, v in fas:
         rows[u] &= ~(1 << v)
     topo = topological_order(Digraph(d.n, rows))
     if topo is None:
         raise RuntimeError(f"{sorted(fas)} is not a feedback arc set: a cycle remains")
-    return _PathSystem(d.n, rows, topo, tracker)
-
-
-def _decide_full(d: Digraph, fas: frozenset[Arc], tracker: _Tracker) -> list[Cycle] | None:
-    """Packing of size ``len(fas)`` where ``fas`` is a minimum FAS.
-
-    Exhaustive: such a packing must use every FAS arc exactly once.
-    """
-    ps = _fresh_system(d, fas, tracker)
-    reqs: list[tuple] = [("s", f) for f in sorted(fas)]
-    return _solve_requirements(ps, reqs)
-
-
-def _decide_one_below(d: Digraph, fas: frozenset[Arc], tracker: _Tracker) -> list[Cycle] | None:
-    """Packing of size ``len(fas) - 1`` where ``fas`` is a minimum FAS.
-
-    Exhaustive over the only two shapes such a packing can have: one FAS
-    arc unused entirely, or one cycle through exactly two FAS arcs.
-    """
+    ps = _PathSystem(d.n, rows, topo, tracker)
     ordered = sorted(fas)
-    for skip in ordered:
-        ps = _fresh_system(d, fas, tracker)
-        reqs: list[tuple] = [("s", f) for f in ordered if f != skip]
-        sol = _solve_requirements(ps, reqs)
-        if sol is not None:
-            return sol
-    for f, g in combinations(ordered, 2):
-        x, y = f
-        u, w = g
-        # A simple cycle cannot leave or enter the same vertex twice.
-        if x == u or y == w:
-            continue
-        ps = _fresh_system(d, fas, tracker)
-        reqs = [("c", f, g)] + [("s", h) for h in ordered if h != f and h != g]
+    if slack == 0:
+        shapes: Iterable[list[tuple]] = [[("s", f) for f in ordered]]
+    else:
+        shapes = chain(
+            ([("s", h) for h in ordered if h != skip] for skip in ordered),
+            (
+                [("c", f, g)] + [("s", h) for h in ordered if h != f and h != g]
+                for f, g in combinations(ordered, 2)
+                # A simple cycle cannot leave or enter the same vertex twice.
+                if f[0] != g[0] and f[1] != g[1]
+            ),
+        )
+    for reqs in shapes:
         sol = _solve_requirements(ps, reqs)
         if sol is not None:
             return sol
@@ -482,10 +474,8 @@ def _find_general(d: Digraph, k: int, tracker: _Tracker) -> list[Cycle] | None:
         fr = min_feedback_arc_set(dc, deadline=tracker.deadline)
         if fr.tau < k:
             return None
-        if k == fr.tau:
-            return _decide_full(dc, fr.arcs, tracker)
-        if k == fr.tau - 1:
-            return _decide_one_below(dc, fr.arcs, tracker)
+        if k >= fr.tau - 1:
+            return _decide(dc, fr.arcs, fr.tau - k, tracker)
         branch = min(fr.arcs)
     else:
         branch = next((u, v) for u in range(dc.n) for v in bits(dc.out[u]))
@@ -555,14 +545,12 @@ def max_cycle_packing(d: Digraph, budget: Budget | None = None) -> PackingReport
             fr = min_feedback_arc_set(d, deadline=tracker.deadline)
             ceiling = fr.tau
             if len(best) < ceiling:
-                sol = _decide_full(d, fr.arcs, tracker)
-                if sol is None:
+                for slack in (0, 1):
+                    sol = _decide(d, fr.arcs, slack, tracker)
+                    if sol is not None:
+                        best = sol
+                        break
                     ceiling -= 1
-                    sol = _decide_one_below(d, fr.arcs, tracker)
-                if sol is None:
-                    ceiling -= 1
-                else:
-                    best = sol
         # climb from the best packing so far up to the ceiling
         k = len(best) + 1
         while ceiling is None or k <= ceiling:

@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive and kept independent of the
 package's algorithms: permutations instead of subset DP, set recursion
-instead of flow or matching.  Small orders only.
+instead of flow or matching.  Small orders only.  The one subset DP,
+``hamiltonian_path``, is the reference for the package's linear
+FAS-path test and is itself checked against ``hamiltonian_path_exists``.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from itertools import combinations, permutations
 from typing import Iterator
 
@@ -173,6 +176,57 @@ def hamiltonian_path_exists(d: Digraph) -> bool:
         all(d.has_arc(p[i], p[i + 1]) for i in range(d.n - 1))
         for p in permutations(range(d.n))
     )
+
+
+# Subset-DP feasibility cap for hamiltonian_path: the table has 2**n rows.
+HAMILTONIAN_PATH_MAX = 24
+
+
+def hamiltonian_path(d: Digraph) -> tuple[int, ...] | None:
+    """A directed path visiting every vertex exactly once, or ``None``.
+
+    Subset dynamic program: ``ends[S]`` holds the bitmask of vertices that
+    can terminate a path covering exactly the set ``S``.  Capped at
+    n <= 24 because the table has 2**n rows.  Deterministic traceback
+    prefers smaller vertex labels.
+    """
+    n = d.n
+    if n > HAMILTONIAN_PATH_MAX:
+        raise ValueError(
+            f"hamiltonian_path supports at most {HAMILTONIAN_PATH_MAX} vertices, got {n}"
+        )
+    if n == 1:
+        return (0,)
+    size = 1 << n
+    ends = array("q", bytes(8 * size))
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    full = size - 1
+    for s in range(3, size):
+        if s & (s - 1) == 0:
+            continue
+        e = 0
+        t = s
+        while t:
+            low = t & -t
+            t ^= low
+            v = low.bit_length() - 1
+            if ends[s ^ low] & d.inn[v]:
+                e |= low
+        ends[s] = e
+    if ends[full] == 0:
+        return None
+    # Rebuild one path back to front, smallest candidate first.
+    s = full
+    v = (ends[full] & -ends[full]).bit_length() - 1
+    path = [v]
+    while s != 1 << v:
+        s ^= 1 << v
+        cand = ends[s] & d.inn[v]
+        v = (cand & -cand).bit_length() - 1
+        path.append(v)
+    path.reverse()
+    return tuple(path)
 
 
 def triangle_count_through(t: Digraph, v0: int) -> int:

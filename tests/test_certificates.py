@@ -51,7 +51,7 @@ def _packing_feedback_set(patch):
 
 
 def _packing_cycles(patch):
-    patch(packing, "_decide_full", lambda d, arcs, tracker: [(0, 1, 2)] * len(arcs))
+    patch(packing, "_decide", lambda d, arcs, slack, tracker: [(0, 1, 2)] * (len(arcs) - slack))
     return "invalid packing", lambda: packing.max_cycle_packing(builtin("paper-T7"))
 
 

@@ -34,6 +34,10 @@ class TestSuite:
         with pytest.raises(ValueError, match="unknown claim ids: X1"):
             verify_paper(["X1"])
 
+    def test_empty_selection(self):
+        with pytest.raises(ValueError, match="no claim ids selected"):
+            verify_paper([])
+
     def test_stable_output_module_secs(self, results):
         again = verify_paper()
         strip = lambda r: (r.claim_id, r.status, r.observed, r.expected)

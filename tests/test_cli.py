@@ -240,3 +240,8 @@ class TestVerifyPaper:
     def test_unknown_id_errors(self, capsys):
         code, _, err = run(capsys, "verify-paper", "--only", "BOGUS")
         assert code == 2 and "unknown claim ids" in err
+
+    def test_empty_selection_errors(self, capsys):
+        code, out, err = run(capsys, "verify-paper", "--only", ",")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: no claim ids selected"]

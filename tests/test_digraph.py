@@ -6,7 +6,6 @@ from arcpack.digraph import (
     backward_arcs,
     bits,
     format_graph,
-    hamiltonian_path,
     has_second_neighborhood_witness,
     is_acyclic,
     is_eulerian,
@@ -16,7 +15,13 @@ from arcpack.digraph import (
     second_out_neighborhood,
     topological_order,
 )
-from oracles import hamiltonian_path_exists, random_digraph, scc_brute, second_out_brute
+from oracles import (
+    hamiltonian_path,
+    hamiltonian_path_exists,
+    random_digraph,
+    scc_brute,
+    second_out_brute,
+)
 
 
 def digraphs(max_n=8, p=0.4):

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcpack.digraph import Digraph, backward_arcs, hamiltonian_path, is_acyclic
+from arcpack.digraph import Digraph, backward_arcs, is_acyclic
 from arcpack.fas import (
     BudgetExceeded,
     enumerate_min_fas,
@@ -21,7 +21,7 @@ from arcpack.instances import (
     random_oriented,
     random_tournament,
 )
-from oracles import min_fas_sets_brute, random_digraph, tau_perm
+from oracles import hamiltonian_path, min_fas_sets_brute, random_digraph, tau_perm
 
 
 class TestMinFeedbackArcSet:

@@ -20,8 +20,7 @@ from arcpack.packing import (
     BudgetExceeded,
     PackingReport,
     _all_simple_paths,
-    _decide_full,
-    _decide_one_below,
+    _decide,
     _PathSystem,
     _requirement_count,
     _requirement_placements,
@@ -314,27 +313,38 @@ class TestRequirements:
         assert len(ps.tracker.refuted) == 1
         assert _solve_requirements(ps, reqs[:1]) == [(1, 0)]
 
+    def test_refuted_search_restores_availability(self, paper_T7):
+        # Every shape of one decider call searches the same path system,
+        # so a refuted search must hand back the arcs it placed.
+        fr = min_feedback_arc_set(paper_T7)
+        ps = _dag_system(7, [a for a in paper_T7.arcs() if a not in fr.arcs])
+        before = list(ps.avail)
+        reqs = [("s", f) for f in sorted(fr.arcs)]
+        assert _solve_requirements(ps, reqs) is None  # nu < tau
+        assert ps.tracker.nodes > 0  # arcs were placed on the way
+        assert ps.avail == before
+
 
 class TestDeciders:
     def test_full_decider_on_T7(self, paper_T7):
         fr = min_feedback_arc_set(paper_T7)
         tracker = _Tracker(Budget())
-        assert _decide_full(paper_T7, fr.arcs, tracker) is None  # nu < tau
-        sol = _decide_one_below(paper_T7, fr.arcs, tracker)
+        assert _decide(paper_T7, fr.arcs, 0, tracker) is None  # nu < tau
+        sol = _decide(paper_T7, fr.arcs, 1, tracker)
         assert sol is not None and len(sol) == 4
         assert is_valid_packing(paper_T7, sol)
 
     def test_refutations_do_not_block_one_below(self, paper_T7):
         fr = min_feedback_arc_set(paper_T7)
         shared = _Tracker(Budget())
-        assert _decide_full(paper_T7, fr.arcs, shared) is None
+        assert _decide(paper_T7, fr.arcs, 0, shared) is None
         assert shared.refuted  # the failed full search filled the memo
-        sol = _decide_one_below(paper_T7, fr.arcs, shared)
-        assert sol == _decide_one_below(paper_T7, fr.arcs, _Tracker(Budget()))
+        sol = _decide(paper_T7, fr.arcs, 1, shared)
+        assert sol == _decide(paper_T7, fr.arcs, 1, _Tracker(Budget()))
 
     def test_full_decider_finds_tau_packing(self, paper_T11):
         fr = min_feedback_arc_set(paper_T11)
-        sol = _decide_full(paper_T11, fr.arcs, _Tracker(Budget()))
+        sol = _decide(paper_T11, fr.arcs, 0, _Tracker(Budget()))
         assert sol is not None and len(sol) == 17
         assert is_valid_packing(paper_T11, sol)
 
@@ -384,7 +394,7 @@ class TestGoldenPackings:
         t = random_tournament(12, 30)
         fr = min_feedback_arc_set(t)
         tracker = _Tracker(Budget())
-        assert len(_decide_full(t, fr.arcs, tracker)) == fr.tau
+        assert len(_decide(t, fr.arcs, 0, tracker)) == fr.tau
         assert len(tracker.refuted) == 3  # about 1600 without the cap
 
 
