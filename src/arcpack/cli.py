@@ -146,8 +146,10 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_random_check(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
     n, count = args.n, args.count
+    if count < 1:
+        raise ValueError(f"--count must be positive, got {count}")
+    rng = random.Random(args.seed)
     graphs = []
     for _ in range(count):
         seed = rng.randrange(1 << 32)

@@ -14,16 +14,40 @@ back into the prefix into backward arcs.  ``f(V)`` is the minimum FAS
 size; a traceback recovers an optimal ordering and its backward arcs.
 
 The table has ``2**n`` entries, so the solver is capped by vertex count,
-and a caller may pass a ``time.perf_counter`` deadline: the table is
-filled in blocks of ``DEADLINE_BLOCK`` cells and the clock is read once
-per block, so the check costs nothing per cell.
+and a caller may pass a ``time.perf_counter`` deadline: the clock is read
+once per ``DEADLINE_BLOCK`` cells, so the check costs nothing per cell.
+
+The table is filled block by block.  A block is the ``2**7`` consecutive
+subsets ``hs | lo`` that share their high bits ``hs`` (vertices 7 and
+up) and run over every low part ``lo``.  For a high vertex ``v`` in
+``hs``, the candidate ``f(S - v) + |N+(v) intersect S|`` of every cell
+of the block reads one earlier block, ``hs - v``, at the same ``lo``,
+and costs ``|N+(v) intersect hs| + |N+(v) intersect lo|``.  So each high
+vertex gives the whole block's candidates at once: the earlier block's
+cells, read as one int with a 32-bit field per cell, plus a per-call
+packed table of those costs.  A field-wise minimum over the high
+vertices (each field's top bit is a guard, so no borrow crosses a
+field) seeds the block.  A loop over each cell's low vertices, whose
+candidates lie in the same block, then finishes it, cell by cell in
+increasing order.  Below eight vertices there is one block and no high
+vertex, and that loop is the whole solver.
+
+The table is identical to the cell-by-cell recurrence: every cell is
+the minimum of the same candidates, in exact integer arithmetic, and a
+minimum does not depend on the order of its arguments.  The packed
+blocks are filled cells, each at most the arc count, and costs are below
+``n``, so no field reaches its guard bit.  The graphs are loop-free, so
+``N+(v)`` never contains ``v`` and ``N+(v) intersect (S - v)`` is
+``N+(v) intersect S``.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 from .digraph import Arc, Digraph, backward_arcs, bits, is_acyclic, topological_order
@@ -33,6 +57,9 @@ DEFAULT_MAX_VERTICES = 24
 ENUMERATE_MAX_VERTICES = 16
 
 DEADLINE_BLOCK = 4096
+
+_BLOCK_BITS = 7
+_CELL = array("i").itemsize  # bytes per table cell and per packed field
 
 
 class BudgetExceeded(RuntimeError):
@@ -56,12 +83,22 @@ class FasResult:
     arcs: frozenset[Arc]
 
 
+@cache
+def _low_bits() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per low part ``lo`` of a block, its vertices as ``(1 << v, v)``."""
+    return tuple(
+        tuple((1 << v, v) for v in range(_BLOCK_BITS) if lo >> v & 1)
+        for lo in range(1 << _BLOCK_BITS)
+    )
+
+
 def _subset_costs(
     d: Digraph, max_vertices: int = DEFAULT_MAX_VERTICES, deadline: float | None = None
 ) -> array:
     """The DP table f over all vertex subsets, indexed by bitmask; the
     table has 2**n entries, so ``ValueError`` above ``max_vertices``.
-    ``BudgetExceeded`` once ``time.perf_counter()`` passes ``deadline``."""
+    ``BudgetExceeded`` once ``time.perf_counter()`` passes ``deadline``.
+    Filled in blocks (see the module docstring)."""
     n = d.n
     if n > max_vertices:
         raise ValueError(
@@ -70,19 +107,48 @@ def _subset_costs(
         )
     out = d.out
     size = 1 << n
-    f = array("i", bytes(4 * size))
     big = 1 << 30
-    for start in range(1, size, DEADLINE_BLOCK):
-        if deadline is not None and time.perf_counter() > deadline:
+    f = array("i", [big]) * size
+    f[0] = 0
+    width = n if n < _BLOCK_BITS else _BLOCK_BITS
+    block = 1 << width
+    if n > width:
+        nbytes = block * _CELL
+        order = sys.byteorder
+        ones = int.from_bytes(array("i", [1]) * block, order)
+        empty = big * ones  # a block with no candidate yet
+        sign = 8 * _CELL - 1
+        guard = ones << sign
+        # high[1 << v]: out[v] and, per c, the packed costs c + |out[v] & lo|
+        high = {}
+        for v in range(width, n):
+            row = out[v]
+            counts = array("i", [(row & lo).bit_count() for lo in range(block)])
+            base = int.from_bytes(counts, order)
+            high[1 << v] = (row, [base + c * ones for c in range((row >> width).bit_count() + 1)])
+        raw = memoryview(f).cast("B")
+    lows = _low_bits()
+    for hs in range(0, size, block):
+        if deadline is not None and not hs % DEADLINE_BLOCK and time.perf_counter() > deadline:
             raise BudgetExceeded("time budget")
-        for s in range(start, min(start + DEADLINE_BLOCK, size)):
-            best = big
-            t = s
+        if hs:
+            x = empty
+            t = hs
             while t:
-                low = t & -t
-                t ^= low
-                v = low.bit_length() - 1
-                c = f[s ^ low] + (out[v] & (s ^ low)).bit_count()
+                bit = t & -t
+                t ^= bit
+                row, costs = high[bit]
+                start = (hs ^ bit) * _CELL
+                y = int.from_bytes(raw[start : start + nbytes], order)
+                y += costs[(row & hs).bit_count()]
+                m = ((x | guard) - y) & guard  # guard bit set where x >= y
+                x ^= (x ^ y) & (m - (m >> sign))  # and there x takes y
+            start = hs * _CELL
+            raw[start : start + nbytes] = x.to_bytes(nbytes, order)
+        for s, vs in zip(range(hs, hs + block), lows):
+            best = f[s]
+            for low, v in vs:
+                c = f[s ^ low] + (out[v] & s).bit_count()
                 if c < best:
                     best = c
             f[s] = best

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive and kept independent of the
 package's algorithms: permutations instead of subset DP, set recursion
-instead of flow or matching.  Small orders only.  The one subset DP,
-``hamiltonian_path``, is the reference for the package's linear
-FAS-path test and is itself checked against ``hamiltonian_path_exists``.
+instead of flow or matching.  Small orders only.  Two subset DPs are
+the exceptions.  ``hamiltonian_path`` is the reference for the package's
+linear FAS-path test and is itself checked against
+``hamiltonian_path_exists``.  ``subset_costs_reference`` is the τ
+recurrence cell by cell, the reference for the package's blocked table,
+and its last cell is checked against ``tau_perm``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,10 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
 
 
 def golden_graph(case: dict) -> Digraph:
-    """The seeded random graph a golden-file case names by kind, n, p, seed."""
+    """The graph of a golden-file case: its ``rows`` when it lists them,
+    else the seeded random graph it names by kind, n, p, seed."""
+    if "rows" in case:
+        return Digraph(case["n"], case["rows"])
     if case["kind"] == "tournament":
         return random_tournament(case["n"], case["seed"])
     if case["kind"] == "digraph":
@@ -46,6 +52,25 @@ def tau_perm(d: Digraph) -> int:
         pos = {v: i for i, v in enumerate(perm)}
         best = min(best, sum(1 for u, v in arcs if pos[u] > pos[v]))
     return best
+
+
+def subset_costs_reference(d: Digraph) -> array:
+    """The subset DP table cell by cell: f[s] is the minimum over v in s
+    of f[s - v] + |out(v) & (s - v)|, with f[0] = 0."""
+    out = d.out
+    f = array("i", bytes(4 << d.n))
+    for s in range(1, 1 << d.n):
+        best = 1 << 30
+        t = s
+        while t:
+            low = t & -t
+            t ^= low
+            v = low.bit_length() - 1
+            c = f[s ^ low] + (out[v] & (s ^ low)).bit_count()
+            if c < best:
+                best = c
+        f[s] = best
+    return f
 
 
 def all_labeled_tournaments(n: int) -> Iterator[Digraph]:

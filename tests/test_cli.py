@@ -209,6 +209,14 @@ class TestRandomCheck:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_empty_count_errors(self, capsys, count):
+        code, out, err = run(
+            capsys, "random-check", "--model", "tournament", "--n", "3", "--count", count
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: --count must be positive, got {count}"]
+
 
 class TestShow:
     def test_roundtrips_through_parser(self, capsys):

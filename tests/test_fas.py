@@ -1,12 +1,18 @@
+import json
 import random
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcpack.digraph import Digraph, backward_arcs, is_acyclic
+from arcpack import fas
+from arcpack.digraph import Digraph, backward_arcs, bits, is_acyclic, scc_masks
 from arcpack.fas import (
+    DEADLINE_BLOCK,
     BudgetExceeded,
+    _subset_costs,
     enumerate_min_fas,
     feedback_arc_set_size,
     min_fas_induces_path,
@@ -21,7 +27,49 @@ from arcpack.instances import (
     random_oriented,
     random_tournament,
 )
-from oracles import hamiltonian_path, min_fas_sets_brute, random_digraph, tau_perm
+from arcpack.packing import max_cycle_packing
+from oracles import (
+    golden_graph,
+    hamiltonian_path,
+    min_fas_sets_brute,
+    random_digraph,
+    subset_costs_reference,
+    tau_perm,
+)
+
+KINDS = ("digraph", "oriented", "tournament")
+
+
+def _graph(kind: str, n: int, p: float, seed: int) -> Digraph:
+    return golden_graph({"kind": kind, "n": n, "p": p, "seed": seed})
+
+
+def _graphs(max_n: int):
+    """Digraphs with 2-cycles, oriented graphs and tournaments on 1..max_n vertices."""
+    return st.builds(
+        _graph, st.sampled_from(KINDS), st.integers(1, max_n), st.floats(0.2, 0.8),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+@st.composite
+def _layered(draw) -> Digraph:
+    """Two or three random parts joined only by arcs from earlier parts to
+    later ones, labels shuffled: each strong component lies in one part,
+    so there are at least two."""
+    parts = draw(st.lists(_graphs(4), min_size=2, max_size=3))
+    n = sum(g.n for g in parts)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [0] * n
+    base = 0
+    for g in parts:
+        for u in range(g.n):
+            later = sum(1 << v for v in range(base + g.n, n) if rng.random() < 0.5)
+            rows[base + u] = g.out[u] << base | later
+        base += g.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Digraph(n, rows).relabeled(perm)
 
 
 class TestMinFeedbackArcSet:
@@ -74,11 +122,115 @@ class TestMinFeedbackArcSet:
         assert feedback_arc_set_size(d) == 1
 
 
+class TestSubsetCostsTable:
+    """The blocked table equals the cell-by-cell recurrence entry by entry;
+    blocks have 2**7 cells, so n <= 7 is one block and n >= 8 has high
+    vertices."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_graphs(13))
+    def test_matches_reference(self, d):
+        f = _subset_costs(d)
+        assert f == subset_costs_reference(d)
+        if d.n <= 6:
+            assert f[-1] == tau_perm(d)
+
+    @pytest.mark.parametrize("kind,n", [(k, n) for k in KINDS for n in (7, 8, 9)])
+    def test_both_sides_of_block_width(self, kind, n):
+        d = _graph(kind, n, 0.5, 1000 + n)
+        assert _subset_costs(d) == subset_costs_reference(d)
+
+    @pytest.mark.parametrize(
+        "kind,n,p,seed", [("tournament", 16, None, 1), ("digraph", 18, 0.3, 5)]
+    )
+    def test_large(self, kind, n, p, seed):
+        d = _graph(kind, n, p, seed)
+        assert _subset_costs(d) == subset_costs_reference(d)
+
+
+GOLDEN_FAS = json.loads((Path(__file__).parent / "golden_fas.json").read_text())
+
+
+class TestGoldenFas:
+    """``golden_fas.json`` holds τ, the ordering, its arcs and up to 50
+    minimum FAS (for n <= 16), recorded with the cell-by-cell table."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_FAS, ids=lambda c: f"{c['kind']}-{c['n']}-{c['seed']}"
+    )
+    def test_same_certificate(self, case):
+        d = golden_graph(case)
+        res = min_feedback_arc_set(d)
+        assert res.tau == case["tau"]
+        assert list(res.ordering) == case["ordering"]
+        assert sorted(map(list, res.arcs)) == case["arcs"]
+        if case["min_fas"] is not None:
+            sets = enumerate_min_fas(d, 50)
+            assert [sorted(map(list, s)) for s in sets] == case["min_fas"]
+
+
+class TestMetamorphicTau:
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs(12), st.data())
+    def test_relabel_and_transpose(self, d, data):
+        tau = feedback_arc_set_size(d)
+        perm = data.draw(st.permutations(range(d.n)))
+        assert feedback_arc_set_size(d.relabeled(perm)) == tau
+        assert feedback_arc_set_size(d.transpose()) == tau
+
+    @settings(max_examples=60, deadline=None)
+    @given(_layered())
+    def test_sum_over_strong_components(self, d):
+        comps = scc_masks(d)
+        assert len(comps) >= 2
+        parts = [feedback_arc_set_size(d.induced(bits(m))[0]) for m in comps]
+        assert feedback_arc_set_size(d) == sum(parts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_graphs(9))
+    def test_nu_at_most_tau(self, d):
+        rep = max_cycle_packing(d)
+        assert rep.optimal
+        assert rep.value <= feedback_arc_set_size(d)
+
+
 class TestDeadline:
     def test_dp_stops_past_deadline(self):
         with pytest.raises(BudgetExceeded) as info:
             min_feedback_arc_set(random_tournament(16, 1), deadline=0.0)
         assert info.value.reason == "time budget"
+
+    @pytest.mark.parametrize("n", [8, 9, 13])
+    def test_blocked_table_stops_past_deadline(self, n):
+        with pytest.raises(BudgetExceeded) as info:
+            _subset_costs(random_tournament(n, 1), deadline=0.0)
+        assert info.value.reason == "time budget"
+
+    @staticmethod
+    def _clock(monkeypatch) -> list:
+        """Make the DP's clock read 1.0, 2.0, ...; returns the reads."""
+        reads = []
+
+        def perf_counter() -> float:
+            reads.append(None)
+            return float(len(reads))
+
+        monkeypatch.setattr(fas, "time", SimpleNamespace(perf_counter=perf_counter))
+        return reads
+
+    def test_deadline_passing_mid_table(self, monkeypatch):
+        # the deadline holds for the first DEADLINE_BLOCK cells, whose
+        # blocks above the first have high vertices, and stops the second
+        reads = self._clock(monkeypatch)
+        with pytest.raises(BudgetExceeded):
+            _subset_costs(random_tournament(14, 1), deadline=1.5)
+        assert len(reads) == 2
+
+    def test_one_clock_read_per_deadline_block(self, monkeypatch):
+        reads = self._clock(monkeypatch)
+        d = random_tournament(14, 1)
+        assert _subset_costs(d, deadline=1e9) == subset_costs_reference(d)
+        assert len(reads) == (1 << 14) // DEADLINE_BLOCK
 
     def test_future_deadline_changes_nothing(self, paper_T):
         later = time.perf_counter() + 600
