@@ -63,9 +63,9 @@ def _load_graph(source: str) -> Digraph:
 
 
 def _parse_vertex(d: Digraph, word: str) -> int:
-    if word.isdigit():
+    if word.isascii() and word.isdigit():
         v = int(word)
-    elif len(word) == 1 and word.isalpha():
+    elif len(word) == 1 and word.isascii() and word.isalpha():
         v = ord(word.lower()) - ord("a")
     else:
         raise ValueError(f"bad vertex {word!r}")

@@ -8,11 +8,41 @@ function here is pure and returns fresh objects.
 An arc is an ordered pair ``(u, v)`` meaning ``u -> v``.  Arc sets are
 plain ``frozenset`` objects of such pairs, vertex orderings are tuples
 containing each vertex exactly once.
+
+Graphs are built word-parallel.  The in-rows are the transpose of the
+out-rows as a bit matrix.  The rows are packed into one int, row ``i``
+at bit ``w*i``, with the smallest stride ``w`` of 8, 16, 32 or 64 that
+holds ``n``, so the int is a ``w`` by ``w`` matrix with zero padding.
+Transposing swaps the upper-right and lower-left ``w/2`` blocks, then
+the same within every block of half the size, down to single bits.  At
+block size ``s`` a bit in a row with bit ``s`` clear and a column with
+bit ``s`` set trades places with the bit ``s*(w-1)`` above it, so one
+round of shifts, xors and a mask swaps every such pair at once, and
+``log2(w)`` rounds transpose the whole matrix.  The rows go into and out
+of the int as an ``array`` of ``w``-bit items in the machine's byte
+order.
+
+``parse_graph`` reads the text in one bulk pass.  It splits every line
+into fields, drops blank lines and comments, and sets the rows in one
+loop over the arc lines, mapping each label through a table of the
+canonical decimal spellings ``0``..``64``.  Every fault fails that pass:
+a line of other than two fields does not unpack, a label outside the
+table is not found, a tail at or above ``n`` indexes no row, a head at
+or above ``n`` or a self-loop fails the row checks of ``Digraph``, a
+wrong arc count fails the compare with the header, and a duplicate arc
+sets no new bit, so the rows hold fewer bits than there are arcs.  Only
+when the pass fails (a fault, or a label spelled other than canonically,
+such as ``07``, ``+3`` or ``1_0``) does the parser walk the lines in
+file order: the walk names the first fault as the format always has, or
+reads the labels as ``int`` does.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
+from array import array
+from functools import cache
 from typing import Iterable, Iterator
 
 Arc = tuple[int, int]
@@ -26,6 +56,20 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@cache
+def _transpose_plan(w: int) -> tuple[str, tuple[tuple[int, int], ...]]:
+    """The array typecode with ``w``-bit items, and the ``(shift, mask)``
+    of each block-swap round of a ``w`` by ``w`` bit-matrix transpose."""
+    typecode = next(c for c in "BHILQ" if array(c).itemsize * 8 == w)
+    rounds = []
+    s = w // 2
+    while s:
+        row = sum(1 << j for j in range(w) if j & s)
+        rounds.append((s * (w - 1), sum(row << (w * i) for i in range(w) if not i & s)))
+        s //= 2
+    return typecode, tuple(rounds)
 
 
 class Digraph:
@@ -47,14 +91,15 @@ class Digraph:
                 raise ValueError(f"self-loop at vertex {v}")
         self.n = n
         self.out = rows
-        inn = [0] * n
-        for u, row in enumerate(rows):
-            ubit = 1 << u
-            while row:
-                low = row & -row
-                inn[low.bit_length() - 1] |= ubit
-                row ^= low
-        self.inn = tuple(inn)
+        w = 8
+        while w < n:
+            w *= 2
+        typecode, rounds = _transpose_plan(w)
+        r = int.from_bytes(array(typecode, rows), sys.byteorder)
+        for shift, mask in rounds:
+            t = ((r >> shift) ^ r) & mask
+            r ^= t ^ (t << shift)
+        self.inn = tuple(array(typecode, r.to_bytes(n * w // 8, sys.byteorder)))
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[Arc]) -> "Digraph":
@@ -296,19 +341,36 @@ def is_eulerian(d: Digraph) -> bool:
 # -- text format ------------------------------------------------------
 
 
+# Canonical decimal spellings of every label and vertex count, 0..MAX_VERTICES.
+_LABEL = {str(v): v for v in range(MAX_VERTICES + 1)}
+
+
 def parse_graph(text: str) -> Digraph:
     """Parse the plain text format: header ``n m`` then ``m`` lines ``u v``.
 
     Lines starting with ``#`` and blank lines are ignored.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and line[0] != "#":
-            rows.append((lineno, line))
-    if not rows:
+    fields = list(filter(None, map(str.split, text.splitlines())))
+    if "#" in text:
+        fields = [f for f in fields if f[0][0] != "#"]
+    try:
+        (n_text, m_text), *arcs = fields
+        rows = [0] * _LABEL[n_text]
+        for u, v in arcs:
+            rows[_LABEL[u]] |= 1 << _LABEL[v]
+        if m_text == str(len(arcs)) and sum(map(int.bit_count, rows)) == len(arcs):
+            return Digraph(len(rows), rows)
+    except (KeyError, IndexError, ValueError):
+        pass
+    # A bulk check failed: walk the lines in file order.
+    numbered = [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and line[0] != "#"
+    ]
+    if not numbered:
         raise ValueError("empty graph text")
-    lineno, header = rows[0]
+    lineno, header = numbered[0]
     parts = header.split()
     if len(parts) != 2:
         raise ValueError(f"line {lineno}: header must be 'n m', got {header!r}")
@@ -316,7 +378,7 @@ def parse_graph(text: str) -> Digraph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"line {lineno}: header must be two integers") from None
-    body = rows[1:]
+    body = numbered[1:]
     if len(body) != m:
         raise ValueError(f"header announces {m} arcs but {len(body)} arc lines found")
     arcs = []

@@ -81,9 +81,20 @@ class Budget:
     @classmethod
     def from_env(cls) -> "Budget":
         """Default budget, overridable via ARCPACK_BUDGET_NODES / _SECS."""
-        nodes = int(os.environ.get("ARCPACK_BUDGET_NODES", cls.max_nodes))
-        secs = float(os.environ.get("ARCPACK_BUDGET_SECS", cls.max_secs))
-        return cls(max_nodes=nodes, max_secs=secs)
+        return cls(
+            max_nodes=_env_value("ARCPACK_BUDGET_NODES", int, cls.max_nodes),
+            max_secs=_env_value("ARCPACK_BUDGET_SECS", float, cls.max_secs),
+        )
+
+
+def _env_value(name: str, kind: type, default):
+    """The environment variable ``name`` read as ``kind``, or ``default``
+    when it is unset; a value ``kind`` cannot read is named in the error."""
+    text = os.environ.get(name, default)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name}={text!r} is not a valid {kind.__name__}") from None
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ the exceptions.  ``hamiltonian_path`` is the reference for the package's
 linear FAS-path test and is itself checked against
 ``hamiltonian_path_exists``.  ``subset_costs_reference`` is the τ
 recurrence cell by cell, the reference for the package's blocked table,
-and its last cell is checked against ``tau_perm``.
+and its last cell is checked against ``tau_perm``.  ``in_rows_reference``
+and ``parse_graph_reference`` are the per-arc loops that the package's
+bit-matrix transpose and bulk parse replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +21,55 @@ from typing import Iterator
 
 from arcpack.digraph import Digraph
 from arcpack.instances import random_oriented, random_tournament
+
+
+def in_rows_reference(rows: list[int]) -> tuple[int, ...]:
+    """In-neighbor rows of the digraph with out-rows ``rows``, arc by arc."""
+    inn = [0] * len(rows)
+    for u, row in enumerate(rows):
+        ubit = 1 << u
+        while row:
+            low = row & -row
+            inn[low.bit_length() - 1] |= ubit
+            row ^= low
+    return tuple(inn)
+
+
+def parse_graph_reference(text: str) -> Digraph:
+    """The edge-list format line by line: every line's shape and integers
+    in file order, then every arc's range, loop and duplicate in order."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            rows.append((lineno, line))
+    if not rows:
+        raise ValueError("empty graph text")
+    lineno, header = rows[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise ValueError(f"line {lineno}: header must be 'n m', got {header!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"line {lineno}: header must be two integers") from None
+    body = rows[1:]
+    if len(body) != m:
+        raise ValueError(f"header announces {m} arcs but {len(body)} arc lines found")
+    arcs = []
+    for lineno, line in body:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: arc line must be 'u v', got {line!r}")
+        u, v = parts
+        try:
+            arcs.append((int(u), int(v)))
+        except ValueError:
+            raise ValueError(f"line {lineno}: arc endpoints must be integers") from None
+    try:
+        return Digraph.from_arcs(n, arcs)
+    except ValueError as exc:
+        raise ValueError(f"invalid graph: {exc}") from None
 
 
 def random_digraph(n: int, p: float, seed: int) -> Digraph:

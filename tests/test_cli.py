@@ -82,6 +82,16 @@ class TestNu:
         assert code == 2 and out == ""
         assert err == "error: time budget must be positive, got -5.0\n"
 
+    @pytest.mark.parametrize(
+        "name,value,kind",
+        [("ARCPACK_BUDGET_SECS", "x", "float"), ("ARCPACK_BUDGET_NODES", "1e3", "int")],
+    )
+    def test_unreadable_budget_env_is_named(self, capsys, monkeypatch, name, value, kind):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, "nu", "paper-T")
+        assert code == 2 and out == ""
+        assert err == f"error: {name}={value!r} is not a valid {kind}\n"
+
 
 class TestThroughCommands:
     def test_cycles_through_letter_vertex(self, capsys):
@@ -103,6 +113,13 @@ class TestThroughCommands:
     def test_vertex_out_of_range(self, capsys):
         code, _, err = run(capsys, "cycles-through", "paper-T7", "z")
         assert code == 2 and "out of range" in err
+
+    @pytest.mark.parametrize("word", ["\u0663", "\u00b2", "\u00e9"])
+    def test_non_ascii_vertex_is_bad(self, capsys, word):
+        # Arabic-Indic three, superscript two, e acute
+        code, out, err = run(capsys, "cycles-through", "paper-T", word)
+        assert code == 2 and out == ""
+        assert err == f"error: bad vertex {word!r}\n"
 
 
 class TestEnum:

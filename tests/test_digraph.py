@@ -15,9 +15,12 @@ from arcpack.digraph import (
     second_out_neighborhood,
     topological_order,
 )
+from arcpack.instances import random_tournament
 from oracles import (
     hamiltonian_path,
     hamiltonian_path_exists,
+    in_rows_reference,
+    parse_graph_reference,
     random_digraph,
     scc_brute,
     second_out_brute,
@@ -74,6 +77,31 @@ class TestConstruction:
         assert d.out_neighbors(0) == (1, 2)
         assert d.in_neighbors(1) == (0, 3)
         assert d.min_out_degree() == 0
+
+
+# Orders at and on both sides of every transpose stride (8, 16, 32, 64).
+STRIDE_EDGES = (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64)
+
+
+class TestInRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_matches_per_arc_reference(self, n, p, seed):
+        d = random_digraph(n, p, seed)
+        assert d.inn == in_rows_reference(list(d.out))
+
+    @pytest.mark.parametrize("n", STRIDE_EDGES)
+    def test_empty_and_full(self, n):
+        full = (1 << n) - 1
+        assert Digraph(n, [0] * n).inn == (0,) * n
+        complete = [full ^ (1 << v) for v in range(n)]
+        assert Digraph(n, complete).inn == tuple(complete)
+
+    @pytest.mark.parametrize("n", STRIDE_EDGES)
+    def test_two_cycles_and_tournaments(self, n):
+        for d in (random_digraph(n, 0.5, n), random_tournament(n, n)):
+            assert d.inn == in_rows_reference(list(d.out))
+            assert d.transpose().inn == d.out
 
 
 class TestDerivedGraphs:
@@ -257,6 +285,123 @@ class TestTextFormat:
     @given(digraphs())
     def test_roundtrip_random(self, d):
         assert parse_graph(format_graph(d)) == d
+
+
+def _spell(v: int, how: str) -> str:
+    """A label as ``int`` reads it, spelled one of several ways."""
+    if how == "padded":
+        return f"0{v}"
+    if how == "plus":
+        return f"+{v}"
+    if how == "arabic":
+        return "".join(chr(0x660 + int(c)) if c.isdigit() else c for c in str(v))
+    if how == "underscore" and v >= 10:
+        return f"{v // 10}_{v % 10}"
+    return str(v)
+
+
+SPELLINGS = ("canonical",) * 6 + ("padded", "plus", "arabic", "underscore")
+
+
+FAULTS = ("self-loop", "low", "high", "duplicate", "count", "malformed")
+
+
+@st.composite
+def graph_texts(draw) -> str:
+    """Edge-list texts with comments, blank lines, CRLF, tabs and odd
+    spellings, and up to two faults at random places."""
+    n = draw(st.integers(1, 9) if draw(st.integers(0, 7)) else st.sampled_from([0, 63, 64, 65]))
+    vertex = st.integers(0, max(n - 1, 0))
+    arcs = draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1]), max_size=10, unique=True)
+        if n > 1 else st.just([])
+    )
+    miscount = 0
+    malformed = []
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        u = draw(vertex)
+        at = draw(st.integers(0, len(arcs)))
+        if fault == "self-loop":
+            arcs.insert(at, (u, u))
+        elif fault == "low":
+            arcs.insert(at, (-1, u))
+        elif fault == "high":
+            arcs.insert(at, (u, draw(st.sampled_from([n, 64]))))
+        elif fault == "duplicate" and arcs:
+            arcs.insert(at, draw(st.sampled_from(arcs)))
+        elif fault == "count":
+            miscount = draw(st.sampled_from([-1, 1]))
+        elif fault == "malformed":
+            malformed.append(draw(st.sampled_from(["0 1 2", "7", "x y", "1 -"])))
+    m = len(arcs) + miscount
+
+    # Half the texts spell every label canonically, so that their faults
+    # reach the bulk pass.
+    odd = draw(st.booleans())
+
+    def spell(v: int) -> str:
+        return _spell(v, draw(st.sampled_from(SPELLINGS))) if odd else str(v)
+
+    def sep() -> str:
+        return draw(st.sampled_from([" ", " ", "\t", "  ", " \t "]))
+
+    lines = [f"{spell(n)}{sep()}{spell(m)}"]
+    lines += [f"{spell(u)}{sep()}{spell(v)}" for u, v in arcs]
+    benign = draw(st.lists(st.sampled_from(["", "   ", "# note", "  # 0 1", "#7 x"]), max_size=3))
+    for extra in malformed + benign:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + line for line in lines]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestParseMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(graph_texts())
+    def test_fuzzed_texts(self, text):
+        assert _parsed(parse_graph, text) == _parsed(parse_graph_reference, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# c\r\n\r\n3 2\r\n0\t1\r\n  1  2 \r\n",
+            "8 1\n07 1\n",
+            "4 1\n+3 1\n",
+            "4 1\n\u0663 1\n",
+            "11 1\n1_0 0\n",
+            "007 1\n0 1\n",
+            "3 01\n0 1\n",
+            "64 1\n63 0\n",
+            "64 1\n64 0\n",
+            "65 0\n",
+            "65 1\n64 0\n",
+            "3 2\n0 1\n0 1\n",
+            "3 2\n0 1\n1 1\n",
+            "3 1\n0 3\n",
+            "3 1\n3 0\n",
+            "3 3\n0 1\n",
+            "3 1\n0 1\n1 2\n",
+            "3 3\n0 1\n0 1\n2 5\n",
+            "3 3\n0 1\n0 5\n0 x\n",
+            "3 2\n1 1\n0 1 2\n",
+            "3 0\n",
+            "0 0\n",
+        ],
+    )
+    def test_fixed_texts(self, text):
+        assert _parsed(parse_graph, text) == _parsed(parse_graph_reference, text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_formatted_graphs(self, n, p, seed):
+        text = format_graph(random_digraph(n, p, seed))
+        assert parse_graph(text) == parse_graph_reference(text)
 
 
 def test_bits_ascending():

@@ -5,7 +5,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arcpack import fas
 from arcpack.digraph import Digraph, backward_arcs, bits, is_acyclic, scc_masks
@@ -27,7 +27,7 @@ from arcpack.instances import (
     random_oriented,
     random_tournament,
 )
-from arcpack.packing import max_cycle_packing
+from arcpack.packing import Budget, max_cycle_packing
 from oracles import (
     golden_graph,
     hamiltonian_path,
@@ -192,6 +192,36 @@ class TestMetamorphicTau:
         rep = max_cycle_packing(d)
         assert rep.optimal
         assert rep.value <= feedback_arc_set_size(d)
+
+
+def _nu(d: Digraph) -> int:
+    rep = max_cycle_packing(d, Budget(max_nodes=200_000, max_secs=60.0))
+    assert rep.optimal
+    return rep.value
+
+
+class TestMetamorphicNu:
+    @settings(max_examples=40, deadline=None)
+    @given(_graphs(9), st.data())
+    def test_relabel_and_transpose(self, d, data):
+        nu = _nu(d)
+        perm = data.draw(st.permutations(range(d.n)))
+        assert _nu(d.relabeled(perm)) == nu
+        assert _nu(d.transpose()) == nu
+
+    @settings(max_examples=40, deadline=None)
+    @given(_graphs(9), st.data())
+    def test_added_arc_never_lowers(self, d, data):
+        missing = [(u, v) for u in range(d.n) for v in range(d.n) if u != v and not d.has_arc(u, v)]
+        assume(missing)
+        arc = data.draw(st.sampled_from(missing))
+        assert _nu(d.with_arcs([arc])) >= _nu(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_layered())
+    def test_sum_over_strong_components(self, d):
+        parts = [_nu(d.induced(bits(m))[0]) for m in scc_masks(d)]
+        assert _nu(d) == sum(parts)
 
 
 class TestDeadline:
