@@ -19,22 +19,23 @@ block size ``s`` a bit in a row with bit ``s`` clear and a column with
 bit ``s`` set trades places with the bit ``s*(w-1)`` above it, so one
 round of shifts, xors and a mask swaps every such pair at once, and
 ``log2(w)`` rounds transpose the whole matrix.  The rows go into and out
-of the int as an ``array`` of ``w``-bit items in the machine's byte
-order.
+of the int as an ``array`` of ``w``-bit items read as one little-endian
+number; on a big-endian machine the items are byte-swapped first, so row
+``i`` lands at bit ``w*i`` there too.
 
 ``parse_graph`` reads the text in one bulk pass.  It splits every line
-into fields, drops blank lines and comments, and sets the rows in one
-loop over the arc lines, mapping each label through a table of the
-canonical decimal spellings ``0``..``64``.  Every fault fails that pass:
-a line of other than two fields does not unpack, a label outside the
-table is not found, a tail at or above ``n`` indexes no row, a head at
-or above ``n`` or a self-loop fails the row checks of ``Digraph``, a
-wrong arc count fails the compare with the header, and a duplicate arc
-sets no new bit, so the rows hold fewer bits than there are arcs.  Only
-when the pass fails (a fault, or a label spelled other than canonically,
-such as ``07``, ``+3`` or ``1_0``) does the parser walk the lines in
-file order: the walk names the first fault as the format always has, or
-reads the labels as ``int`` does.
+into fields, drops blank lines, and sets the rows in one loop over the
+arc lines, mapping each label through a table of the canonical decimal
+spellings ``0``..``64``.  Every fault fails that pass: a line of other
+than two fields does not unpack, a label outside the table is not found,
+a tail at or above ``n`` indexes no row, a head at or above ``n`` or a
+self-loop fails the row checks of ``Digraph``, a wrong arc count fails
+the compare with the header, and a duplicate arc sets no new bit, so the
+rows hold fewer bits than there are arcs.  Only when the pass fails (a
+fault, a comment, whose first field is no label, or a label spelled
+other than canonically, such as ``07``, ``+3`` or ``1_0``) does the
+parser walk the lines in file order: the walk names the first fault as
+the format always has, or reads the labels as ``int`` does.
 """
 
 from __future__ import annotations
@@ -95,11 +96,17 @@ class Digraph:
         while w < n:
             w *= 2
         typecode, rounds = _transpose_plan(w)
-        r = int.from_bytes(array(typecode, rows), sys.byteorder)
+        packed = array(typecode, rows)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        r = int.from_bytes(packed, "little")
         for shift, mask in rounds:
             t = ((r >> shift) ^ r) & mask
             r ^= t ^ (t << shift)
-        self.inn = tuple(array(typecode, r.to_bytes(n * w // 8, sys.byteorder)))
+        packed = array(typecode, r.to_bytes(n * w // 8, "little"))
+        if sys.byteorder == "big":
+            packed.byteswap()
+        self.inn = tuple(packed)
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[Arc]) -> "Digraph":
@@ -351,8 +358,6 @@ def parse_graph(text: str) -> Digraph:
     Lines starting with ``#`` and blank lines are ignored.
     """
     fields = list(filter(None, map(str.split, text.splitlines())))
-    if "#" in text:
-        fields = [f for f in fields if f[0][0] != "#"]
     try:
         (n_text, m_text), *arcs = fields
         rows = [0] * _LABEL[n_text]

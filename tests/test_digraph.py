@@ -1,6 +1,10 @@
+from array import array
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcpack import digraph
 from arcpack.digraph import (
     Digraph,
     backward_arcs,
@@ -102,6 +106,39 @@ class TestInRows:
         for d in (random_digraph(n, 0.5, n), random_tournament(n, n)):
             assert d.inn == in_rows_reference(list(d.out))
             assert d.transpose().inn == d.out
+
+
+class _BigEndianArray(bytearray):
+    """An ``array`` of unsigned items as a big-endian machine lays it out."""
+
+    def __init__(self, typecode, items=()):
+        self.itemsize = array(typecode).itemsize
+        if not isinstance(items, (bytes, bytearray)):
+            items = b"".join(x.to_bytes(self.itemsize, "big") for x in items)
+        super().__init__(items)
+
+    def byteswap(self):
+        k = self.itemsize
+        self[:] = b"".join(self[i : i + k][::-1] for i in range(0, len(self), k))
+
+    def __iter__(self):
+        k = self.itemsize
+        return (int.from_bytes(self[i : i + k], "big") for i in range(0, len(self), k))
+
+
+class TestInRowsBigEndian:
+    @pytest.fixture(autouse=True)
+    def big_endian(self, monkeypatch):
+        monkeypatch.setattr(digraph, "array", _BigEndianArray)
+        monkeypatch.setattr(digraph, "sys", SimpleNamespace(byteorder="big"))
+
+    def test_single_arc(self):
+        assert Digraph(2, [0b10, 0]).inn == (0, 0b01)
+
+    @pytest.mark.parametrize("n", STRIDE_EDGES)
+    def test_matches_per_arc_reference(self, n):
+        for rows in (random_digraph(n, 0.5, n).out, random_tournament(n, n).out):
+            assert Digraph(n, rows).inn == in_rows_reference(list(rows))
 
 
 class TestDerivedGraphs:
