@@ -6,8 +6,8 @@ path to a text file in the edge-list format of :func:`parse_graph`
 (``-`` reads standard input).  Vertices are numeric, or single letters
 ``a``..``z`` as aliases for 0..25.
 
-Solver budgets default to the environment overrides
-``ARCPACK_BUDGET_NODES`` / ``ARCPACK_BUDGET_SECS``.
+A ``--budget-*`` flag wins; a limit not given comes from
+``ARCPACK_BUDGET_NODES`` / ``ARCPACK_BUDGET_SECS`` (see ``Budget.from_env``).
 """
 
 from __future__ import annotations
@@ -74,14 +74,6 @@ def _parse_vertex(d: Digraph, word: str) -> int:
     return v
 
 
-def _budget(args: argparse.Namespace) -> Budget:
-    base = Budget.from_env()
-    return Budget(
-        max_nodes=base.max_nodes if args.budget_nodes is None else args.budget_nodes,
-        max_secs=base.max_secs if args.budget_secs is None else args.budget_secs,
-    )
-
-
 # -- subcommands ------------------------------------------------------
 
 
@@ -97,7 +89,7 @@ def _cmd_tau(args: argparse.Namespace) -> int:
 
 def _cmd_nu(args: argparse.Namespace) -> int:
     d = _load_graph(args.graph)
-    rep = max_cycle_packing(d, _budget(args))
+    rep = max_cycle_packing(d, Budget.from_env(args.budget_nodes, args.budget_secs))
     print(f"nu={rep.value} optimal={str(rep.optimal).lower()}")
     for cycle in rep.cycles:
         print("cycle " + " ".join(str(v) for v in cycle))
@@ -176,10 +168,11 @@ def _cmd_random_check(args: argparse.Namespace) -> int:
         report("second-neighborhood", len(graphs), bad)
 
     if n <= BRUTEFORCE_MAX_VERTICES:
+        budget = Budget.from_env(args.budget_nodes, args.budget_secs)
         checked = violations = 0
         for g in graphs:
             checked += 1
-            rep = max_cycle_packing(g, _budget(args))
+            rep = max_cycle_packing(g, budget)
             if not rep.optimal or rep.value != packing_bruteforce(g):
                 violations += 1
         report("packing-vs-bruteforce", checked, violations)
@@ -202,7 +195,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     ids = None
     if args.only:
         ids = [s for chunk in args.only for s in chunk.split(",") if s]
-    results = verify_paper(ids, Budget.from_env())
+    results = verify_paper(ids)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
 

@@ -333,8 +333,7 @@ def scc_masks(d: Digraph) -> list[int]:
 
 
 def is_strongly_connected(d: Digraph) -> bool:
-    full = (1 << d.n) - 1
-    return _reachable(d.out, 0) == full and _reachable(d.inn, 0) == full
+    return len(scc_masks(d)) == 1
 
 
 def is_eulerian(d: Digraph) -> bool:

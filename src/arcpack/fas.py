@@ -13,9 +13,10 @@ Appending ``v`` to an ordered prefix ``S - v`` turns the arcs from ``v``
 back into the prefix into backward arcs.  ``f(V)`` is the minimum FAS
 size; a traceback recovers an optimal ordering and its backward arcs.
 
-The table has ``2**n`` entries, so the solver is capped by vertex count,
-and a caller may pass a ``time.perf_counter`` deadline: the clock is read
-once per ``DEADLINE_BLOCK`` cells, so the check costs nothing per cell.
+The table has ``2**n`` entries, so the solver is capped at
+``MAX_DP_VERTICES`` vertices, and a caller may pass a
+``time.perf_counter`` deadline: the clock is read once per
+``DEADLINE_BLOCK`` cells, so the check costs nothing per cell.
 
 The table is filled block by block.  A block is the ``2**7`` consecutive
 subsets ``hs | lo`` that share their high bits ``hs`` (vertices 7 and
@@ -52,8 +53,9 @@ from typing import Iterable, Iterator
 
 from .digraph import Arc, Digraph, backward_arcs, bits, is_acyclic, topological_order
 
-DEFAULT_MAX_VERTICES = 24
+MAX_DP_VERTICES = 24
 
+# Lower than the DP cap: every subset holds its own partial arc sets.
 ENUMERATE_MAX_VERTICES = 16
 
 DEADLINE_BLOCK = 4096
@@ -92,19 +94,14 @@ def _low_bits() -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def _subset_costs(
-    d: Digraph, max_vertices: int = DEFAULT_MAX_VERTICES, deadline: float | None = None
-) -> array:
+def _subset_costs(d: Digraph, deadline: float | None = None) -> array:
     """The DP table f over all vertex subsets, indexed by bitmask; the
-    table has 2**n entries, so ``ValueError`` above ``max_vertices``.
+    table has 2**n entries, so ``ValueError`` above ``MAX_DP_VERTICES``.
     ``BudgetExceeded`` once ``time.perf_counter()`` passes ``deadline``.
     Filled in blocks (see the module docstring)."""
     n = d.n
-    if n > max_vertices:
-        raise ValueError(
-            f"subset DP capped at {max_vertices} vertices, got {n}; "
-            "raise max_vertices explicitly to override"
-        )
+    if n > MAX_DP_VERTICES:
+        raise ValueError(f"subset DP capped at {MAX_DP_VERTICES} vertices, got {n}")
     out = d.out
     size = 1 << n
     big = 1 << 30
@@ -163,9 +160,7 @@ def _optimal_last(f: array, out: tuple[int, ...], s: int) -> Iterator[int]:
             yield v
 
 
-def min_feedback_arc_set(
-    d: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES, deadline: float | None = None
-) -> FasResult:
+def min_feedback_arc_set(d: Digraph, *, deadline: float | None = None) -> FasResult:
     """Minimum feedback arc set with an optimal ordering as certificate.
 
     Deterministic: the traceback reconstructs the ordering from the back,
@@ -173,7 +168,7 @@ def min_feedback_arc_set(
     optimal.  Raises ``ValueError`` above the vertex cap and
     ``BudgetExceeded`` past ``deadline`` (see ``_subset_costs``).
     """
-    f = _subset_costs(d, max_vertices, deadline)
+    f = _subset_costs(d, deadline)
     s = (1 << d.n) - 1
     rev = []
     while s:
@@ -188,9 +183,9 @@ def min_feedback_arc_set(
     return FasResult(tau=tau, ordering=ordering, arcs=arcs)
 
 
-def feedback_arc_set_size(d: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
+def feedback_arc_set_size(d: Digraph) -> int:
     """The minimum FAS size alone (no certificate traceback)."""
-    return _subset_costs(d, max_vertices)[(1 << d.n) - 1]
+    return _subset_costs(d)[(1 << d.n) - 1]
 
 
 def _arc_key(arcs: frozenset[Arc]) -> tuple[Arc, ...]:

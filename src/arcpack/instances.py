@@ -140,16 +140,15 @@ def builtin(name: str) -> Digraph:
     """Look up a built-in graph by CLI name.
 
     Accepts the four reference tournaments plus ``transitive-N`` for any
-    ``N`` between 1 and 64.
+    ``N`` between 1 and 64, written in ASCII digits.
     """
     if name in _BUILTINS:
         return _BUILTINS[name]()
     if name.startswith("transitive-"):
-        try:
-            n = int(name.split("-", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad transitive size in {name!r}") from None
-        return transitive_tournament(n)
+        size = name.removeprefix("transitive-")
+        if not (size.isascii() and size.isdigit()):
+            raise ValueError(f"bad transitive size in {name!r}")
+        return transitive_tournament(int(size))
     raise ValueError(
         f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)} "
         "or transitive-N"

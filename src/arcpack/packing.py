@@ -54,7 +54,7 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .digraph import Arc, Digraph, bits, scc_masks, topological_order
-from .fas import DEADLINE_BLOCK, DEFAULT_MAX_VERTICES, BudgetExceeded, min_feedback_arc_set
+from .fas import DEADLINE_BLOCK, MAX_DP_VERTICES, BudgetExceeded, min_feedback_arc_set
 
 Cycle = tuple[int, ...]
 
@@ -79,12 +79,15 @@ class Budget:
             raise ValueError(f"time budget must be positive, got {self.max_secs}")
 
     @classmethod
-    def from_env(cls) -> "Budget":
-        """Default budget, overridable via ARCPACK_BUDGET_NODES / _SECS."""
-        return cls(
-            max_nodes=_env_value("ARCPACK_BUDGET_NODES", int, cls.max_nodes),
-            max_secs=_env_value("ARCPACK_BUDGET_SECS", float, cls.max_secs),
-        )
+    def from_env(cls, max_nodes: int | None = None, max_secs: float | None = None) -> "Budget":
+        """A budget with the limits given; a limit not given comes from
+        ARCPACK_BUDGET_NODES / ARCPACK_BUDGET_SECS, or else the default.
+        Each variable is read only when its limit is not given."""
+        if max_nodes is None:
+            max_nodes = _env_value("ARCPACK_BUDGET_NODES", int, cls.max_nodes)
+        if max_secs is None:
+            max_secs = _env_value("ARCPACK_BUDGET_SECS", float, cls.max_secs)
+        return cls(max_nodes, max_secs)
 
 
 def _env_value(name: str, kind: type, default):
@@ -481,7 +484,7 @@ def _find_general(d: Digraph, k: int, tracker: _Tracker) -> list[Cycle] | None:
     dc = _cyclic_restriction(d)
     if _counting_bound(dc) < k:
         return None
-    if dc.n <= DEFAULT_MAX_VERTICES:
+    if dc.n <= MAX_DP_VERTICES:
         fr = min_feedback_arc_set(dc, deadline=tracker.deadline)
         if fr.tau < k:
             return None
@@ -540,8 +543,8 @@ def max_cycle_packing(d: Digraph, budget: Budget | None = None) -> PackingReport
     """Maximum number of pairwise arc-disjoint directed cycles.
 
     Exact for every graph small enough for the feedback-arc DP
-    (n <= 24); above that only counting bounds steer the search and
-    optimality is rarely proven.  See the module docstring for the
+    (n <= ``MAX_DP_VERTICES``, 24); above that only counting bounds steer
+    the search and optimality is rarely proven.  See the module docstring for the
     search strategy.
     """
     if budget is None:
@@ -552,7 +555,7 @@ def max_cycle_packing(d: Digraph, budget: Budget | None = None) -> PackingReport
     stop_reason = "optimal"
     try:
         ceiling = None  # known upper bound on the packing number
-        if d.n <= DEFAULT_MAX_VERTICES:
+        if d.n <= MAX_DP_VERTICES:
             fr = min_feedback_arc_set(d, deadline=tracker.deadline)
             ceiling = fr.tau
             if len(best) < ceiling:

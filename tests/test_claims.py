@@ -38,6 +38,18 @@ class TestSuite:
         with pytest.raises(ValueError, match="no claim ids selected"):
             verify_paper([])
 
+    def test_budget_from_env(self, monkeypatch):
+        # as ``arcpack verify-paper --only NU_T7`` under the same variable
+        monkeypatch.setenv("ARCPACK_BUDGET_NODES", "1")
+        (r,) = verify_paper(["NU_T7"])
+        assert (r.status, r.observed) == ("FAIL", "atleast:4;budget-exhausted")
+
+    def test_budget_read_before_the_first_claim(self, monkeypatch):
+        # TAU_T7 runs no budgeted search, yet the variable is read
+        monkeypatch.setenv("ARCPACK_BUDGET_SECS", "x")
+        with pytest.raises(ValueError, match="ARCPACK_BUDGET_SECS='x'"):
+            verify_paper(["TAU_T7"])
+
     def test_stable_output_module_secs(self, results):
         again = verify_paper()
         strip = lambda r: (r.claim_id, r.status, r.observed, r.expected)
@@ -89,7 +101,7 @@ class TestFormat:
     @settings(max_examples=100, deadline=None)
     @given(
         st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789", min_size=1, max_size=20),
-        st.sampled_from(["PASS", "FAIL", "SKIPPED"]),
+        st.sampled_from(["PASS", "FAIL"]),
         st.text("abcdefghijklmnop0123456789:;,.<>=-", min_size=1, max_size=25),
         st.text("abcdefghijklmnop0123456789:;,.<>=-", min_size=1, max_size=25),
         st.floats(0, 9999),
@@ -108,6 +120,7 @@ class TestFormat:
             "CLAIM X PASS observed=1 expected=1 secs=0.1 extra=2",
             "CLAIM X PASS observed=1 wrong=1 secs=0.1",
             "NOISE X PASS observed=1 expected=1 secs=0.1",
+            "CLAIM X SKIPPED observed=1 expected=1 secs=0.1",
         ],
     )
     def test_parse_rejects(self, line):

@@ -47,7 +47,17 @@ class TestTau:
     def test_too_large_for_dp(self, capsys):
         code, _, err = run(capsys, "tau", "transitive-30")
         assert code == 2
-        assert "capped" in err
+        assert err == "error: subset DP capped at 24 vertices, got 30\n"
+
+    @pytest.mark.parametrize(
+        "name", ["transitive-\u0663", "transitive-+3", "transitive- 3", "transitive-3_0"]
+    )
+    def test_transitive_size_is_ascii_digits(self, capsys, name):
+        # int() would read each of these: Arabic-Indic three, a sign, a
+        # space, an underscore
+        code, out, err = run(capsys, "tau", name)
+        assert code == 2 and out == ""
+        assert err == f"error: bad transitive size in {name!r}\n"
 
 
 class TestNu:
@@ -91,6 +101,19 @@ class TestNu:
         code, out, err = run(capsys, "nu", "paper-T")
         assert code == 2 and out == ""
         assert err == f"error: {name}={value!r} is not a valid {kind}\n"
+
+    @pytest.mark.parametrize(
+        "name,value,flags",
+        [
+            ("ARCPACK_BUDGET_SECS", "x", ("--budget-secs", "5")),
+            ("ARCPACK_BUDGET_NODES", "1e3", ("--budget-nodes", "100000")),
+        ],
+    )
+    def test_flag_wins_over_unreadable_env(self, capsys, monkeypatch, name, value, flags):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, "nu", "paper-T7", *flags)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "nu=4 optimal=true"
 
 
 class TestThroughCommands:
@@ -170,6 +193,24 @@ class TestEnum:
 
 
 class TestRandomCheck:
+    def test_budget_resolved_once(self, capsys, monkeypatch):
+        from arcpack.packing import Budget
+
+        calls = []
+        real = Budget.from_env.__func__
+
+        def counted(cls, *limits):
+            calls.append(limits)
+            return real(cls, *limits)
+
+        monkeypatch.setattr(Budget, "from_env", classmethod(counted))
+        code, out, _ = run(
+            capsys, "random-check", "--model", "tournament", "--n", "5", "--count", "4",
+            "--budget-secs", "60",
+        )
+        assert code == 0 and out.splitlines()[-1] == "ok"
+        assert calls == [(None, 60.0)]
+
     def test_tournament_model(self, capsys):
         code, out, _ = run(
             capsys,

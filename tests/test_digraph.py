@@ -252,6 +252,7 @@ class TestConnectivity:
         assert covered == (1 << d.n) - 1
         assert {frozenset(bits(m)) for m in masks} == scc_brute(d)
         assert is_strongly_connected(d) == (len(masks) == 1)
+        assert is_strongly_connected(d) == (len(scc_brute(d)) == 1)
 
 
 class TestHamiltonianPath:

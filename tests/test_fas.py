@@ -99,10 +99,8 @@ class TestMinFeedbackArcSet:
         assert a.ordering == b.ordering and a.arcs == b.arcs
 
     def test_vertex_cap(self):
-        with pytest.raises(ValueError, match="capped at 24"):
+        with pytest.raises(ValueError, match="^subset DP capped at 24 vertices, got 25$"):
             feedback_arc_set_size(Digraph(25, [0] * 25))
-        with pytest.raises(ValueError, match="capped at 4"):
-            feedback_arc_set_size(Digraph(5, [0] * 5), max_vertices=4)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -109,7 +109,20 @@ class TestBuiltins:
         assert t == transitive_tournament(9)
         assert t.is_tournament() and is_acyclic(t)
 
-    @pytest.mark.parametrize("bad", ["paper-X", "transitive-", "transitive-0", "x"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "paper-X",
+            "transitive-",
+            "transitive-0",
+            "x",
+            # int() reads each of these; a size is ASCII digits only
+            "transitive-\u0663",
+            "transitive-+3",
+            "transitive- 3",
+            "transitive-3_0",
+        ],
+    )
     def test_unknown_name(self, bad):
         with pytest.raises(ValueError):
             builtin(bad)

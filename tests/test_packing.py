@@ -13,6 +13,7 @@ from arcpack.instances import (
     builtin,
     random_oriented,
     random_tournament,
+    transitive_tournament,
     vertex_of,
 )
 from arcpack.packing import (
@@ -165,6 +166,26 @@ class TestEdgesOfThePipeline:
         rep = max_cycle_packing(d)
         assert rep.value == 10 and rep.optimal
 
+    def test_beyond_dp_cap_single_cycle(self):
+        # no tau ceiling: the first-arc branch finds the cycle, and the
+        # counting bound refutes a second
+        d = Digraph.from_arcs(30, [(v, (v + 1) % 30) for v in range(30)])
+        rep = max_cycle_packing(d)
+        assert (rep.value, rep.cycles, rep.optimal) == (1, (tuple(range(30)),), True)
+
+    def test_beyond_dp_cap_acyclic(self):
+        rep = max_cycle_packing(transitive_tournament(30))
+        assert (rep.value, rep.cycles, rep.optimal) == (0, (), True)
+
+    def test_beyond_dp_cap_time_budget(self):
+        t = random_tournament(26, 1)
+        start = time.perf_counter()
+        rep = max_cycle_packing(t, Budget(max_secs=0.5))
+        assert time.perf_counter() - start < 3.0
+        assert (rep.optimal, rep.stop_reason) == (False, "time budget")
+        assert rep.value >= len(greedy_short_cycles(t))
+        assert is_valid_packing(t, rep.cycles)
+
     def test_budget_exhaustion_keeps_certificate(self, paper_T):
         rep = max_cycle_packing(paper_T, Budget(max_nodes=1))
         assert not rep.optimal
@@ -203,6 +224,11 @@ class TestEdgesOfThePipeline:
         monkeypatch.setenv("ARCPACK_BUDGET_SECS", "9.5")
         b = Budget.from_env()
         assert (b.max_nodes, b.max_secs) == (123, 9.5)
+
+    def test_given_limit_skips_its_variable(self, monkeypatch):
+        monkeypatch.setenv("ARCPACK_BUDGET_NODES", "1e3")
+        monkeypatch.setenv("ARCPACK_BUDGET_SECS", "9.5")
+        assert Budget.from_env(max_nodes=5) == Budget(max_nodes=5, max_secs=9.5)
 
     def test_greedy_is_valid(self):
         rng = random.Random(5)
