@@ -25,7 +25,7 @@ from .fas import (
     min_fas_path,
     mindeg_lower_bound,
 )
-from .flow import max_cycles_through, verify_universal_vertex_cycles
+from .flow import max_cycles_through, universal_vertex_params
 from .instances import (
     builtin,
     label_of,
@@ -42,6 +42,7 @@ from .packing import (
     is_valid_packing,
     max_cycle_packing,
     max_triangles_through,
+    packing_bruteforce,
 )
 
 _STATUSES = ("PASS", "FAIL")
@@ -58,9 +59,9 @@ class ClaimResult:
     def __post_init__(self) -> None:
         if self.status not in _STATUSES:
             raise ValueError(f"bad status {self.status!r}")
-        for field in (self.observed, self.expected):
+        for field in (self.claim_id, self.observed, self.expected):
             if not field or any(c.isspace() for c in field):
-                raise ValueError(f"value string must be space-free: {field!r}")
+                raise ValueError(f"claim field must be space-free: {field!r}")
 
     @property
     def passed(self) -> bool:
@@ -100,8 +101,14 @@ def parse_claim(line: str) -> ClaimResult:
 def universal_vertex_cycle_counts(graphs: Iterable[Digraph]) -> tuple[int, int]:
     """Vertices meeting the universal-vertex hypothesis, and those that do
     not lie on out-degree many arc-disjoint cycles."""
-    reps = [verify_universal_vertex_cycles(g) for g in graphs]
-    return sum(len(r.checked) for r in reps), sum(len(r.violations) for r in reps)
+    checked = violations = 0
+    for g in graphs:
+        for v in range(g.n):
+            params = universal_vertex_params(g, v)
+            if params is not None and params.guarantee_applies():
+                checked += 1
+                violations += max_cycles_through(g, v)[0] < params.out_degree
+    return checked, violations
 
 
 def mindeg_tau_bound_counts(graphs: Sequence[Digraph]) -> tuple[int, int]:
@@ -120,6 +127,22 @@ def mindeg_triangle_counts(graphs: Iterable[Digraph]) -> tuple[int, int]:
         checked += len(low)
         violations += sum(count_triangles_through(t, v) < k for v in low)
     return checked, violations
+
+
+def second_neighborhood_counts(graphs: Sequence[Digraph]) -> tuple[int, int]:
+    """Graphs, and those where no vertex has a second out-neighborhood at
+    least as large as its first."""
+    return len(graphs), sum(not has_second_neighborhood_witness(g) for g in graphs)
+
+
+def packing_bruteforce_counts(graphs: Sequence[Digraph], budget: Budget) -> tuple[int, int]:
+    """Graphs, and those whose packing is not settled within ``budget`` or
+    differs from the exhaustive count (at most 7 vertices each)."""
+    bad = 0
+    for g in graphs:
+        rep = max_cycle_packing(g, budget)
+        bad += not rep.optimal or rep.value != packing_bruteforce(g)
+    return len(graphs), bad
 
 
 # -- individual claims ------------------------------------------------
@@ -217,8 +240,7 @@ def _second_nbhd_le8(budget: Budget) -> tuple[bool, str, str]:
     rng = random.Random(404)
     graphs = [t for n in range(1, 8) for t in enumerate_tournaments(n)]
     graphs += [random_tournament(8, rng.randrange(1 << 32)) for _ in range(500)]
-    bad = sum(not has_second_neighborhood_witness(t) for t in graphs)
-    return _counted(len(graphs), bad)
+    return _counted(*second_neighborhood_counts(graphs))
 
 
 def _pack11_t(budget: Budget) -> tuple[bool, str, str]:
@@ -272,12 +294,10 @@ _RUNNERS: dict[str, _Runner] = {
 CLAIM_IDS: tuple[str, ...] = tuple(_RUNNERS)
 
 
-def verify_paper(
-    claim_ids: Sequence[str] | None = None, budget: Budget | None = None
-) -> list[ClaimResult]:
-    """Run the claim suite (or a subset) in fixed order.  Without a
-    ``budget``, one is read from the environment (``Budget.from_env``)
-    before the first claim, as ``max_cycle_packing`` does."""
+def verify_paper(claim_ids: Sequence[str] | None = None) -> list[ClaimResult]:
+    """Run the claim suite (or a subset) in fixed order, under a budget
+    read from the environment (``Budget.from_env``) before the first
+    claim."""
     if claim_ids is None:
         selected = CLAIM_IDS
     else:
@@ -287,8 +307,7 @@ def verify_paper(
         selected = tuple(c for c in CLAIM_IDS if c in set(claim_ids))
         if not selected:
             raise ValueError("no claim ids selected")
-    if budget is None:
-        budget = Budget.from_env()
+    budget = Budget.from_env()
     results = []
     for cid in selected:
         start = time.perf_counter()

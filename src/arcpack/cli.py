@@ -6,8 +6,9 @@ path to a text file in the edge-list format of :func:`parse_graph`
 (``-`` reads standard input).  Vertices are numeric, or single letters
 ``a``..``z`` as aliases for 0..25.
 
-A ``--budget-*`` flag wins; a limit not given comes from
+For ``nu`` a ``--budget-*`` flag wins; a limit not given comes from
 ``ARCPACK_BUDGET_NODES`` / ``ARCPACK_BUDGET_SECS`` (see ``Budget.from_env``).
+``random-check`` reads only the variables, once, before any output.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from .claims import (
     format_report,
     mindeg_tau_bound_counts,
     mindeg_triangle_counts,
+    packing_bruteforce_counts,
+    second_neighborhood_counts,
     universal_vertex_cycle_counts,
     verify_paper,
 )
-from .digraph import Digraph, format_graph, has_second_neighborhood_witness, parse_graph
+from .digraph import Digraph, format_graph, parse_graph
 from .enumeration import (
     ENUMERATION_MAX_ORDER,
     PREDICATES,
@@ -49,7 +52,6 @@ from .packing import (
     count_triangles_through,
     max_cycle_packing,
     max_triangles_through,
-    packing_bruteforce,
 )
 
 
@@ -141,6 +143,7 @@ def _cmd_random_check(args: argparse.Namespace) -> int:
     n, count = args.n, args.count
     if count < 1:
         raise ValueError(f"--count must be positive, got {count}")
+    budget = Budget.from_env()
     rng = random.Random(args.seed)
     graphs = []
     for _ in range(count):
@@ -164,18 +167,10 @@ def _cmd_random_check(args: argparse.Namespace) -> int:
 
     if args.model == "tournament":
         report("mindeg-triangle-count", *mindeg_triangle_counts(graphs))
-        bad = sum(not has_second_neighborhood_witness(g) for g in graphs)
-        report("second-neighborhood", len(graphs), bad)
+        report("second-neighborhood", *second_neighborhood_counts(graphs))
 
     if n <= BRUTEFORCE_MAX_VERTICES:
-        budget = Budget.from_env(args.budget_nodes, args.budget_secs)
-        checked = violations = 0
-        for g in graphs:
-            checked += 1
-            rep = max_cycle_packing(g, budget)
-            if not rep.optimal or rep.value != packing_bruteforce(g):
-                violations += 1
-        report("packing-vs-bruteforce", checked, violations)
+        report("packing-vs-bruteforce", *packing_bruteforce_counts(graphs, budget))
 
     print("ok" if failures == 0 else "FAILED")
     return 0 if failures == 0 else 1
@@ -247,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=float, default=0.5, help="arc probability (oriented)")
-    p.add_argument("--budget-nodes", type=int, metavar="N")
-    p.add_argument("--budget-secs", type=float, metavar="S")
     p.set_defaults(fn=_cmd_random_check)
 
     p = sub.add_parser("show", help="print a builtin instance")

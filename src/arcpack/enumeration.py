@@ -42,7 +42,7 @@ from .packing import (
     Budget,
     BudgetExceeded,
     max_cycle_packing,
-    mindeg_triangle_packing_holds,
+    max_triangles_through,
 )
 
 ENUMERATION_MAX_ORDER = 8
@@ -256,10 +256,10 @@ def verify_nu_eq_tau_upto(n: int, budget: Budget | None = None) -> SweepReport:
     )
 
 
-def nu_lt_tau(t: Digraph, budget: Budget | None = None) -> bool:
+def nu_lt_tau(t: Digraph) -> bool:
     """Strict gap between packing number and minimum feedback size."""
     tau = min_feedback_arc_set(t).tau
-    rep = max_cycle_packing(t, budget)
+    rep = max_cycle_packing(t)
     if not rep.optimal:
         raise BudgetExceeded(rep.stop_reason, "budget exhausted before the packing was settled")
     return rep.value < tau
@@ -268,7 +268,11 @@ def nu_lt_tau(t: Digraph, budget: Budget | None = None) -> bool:
 def mindeg_triangles_fail(t: Digraph) -> bool:
     """No minimum-out-degree vertex reaches min-out-degree many
     arc-disjoint triangles."""
-    return not mindeg_triangle_packing_holds(t)
+    k = t.min_out_degree()
+    return not any(
+        t.out_degree(v) == k and max_triangles_through(t, v)[0] >= k
+        for v in range(t.n)
+    )
 
 
 def second_neighborhood_fail(d: Digraph) -> bool:

@@ -177,31 +177,3 @@ def universal_vertex_params(d: Digraph, v0: int) -> UniversalVertexParams | None
         min_out_over_out=min(outs) if outs else None,
         min_out_over_in=min(ins) if ins else None,
     )
-
-
-@dataclass(frozen=True)
-class UniversalVertexReport:
-    """Outcome of checking the guarantee at every eligible vertex."""
-
-    checked: tuple[UniversalVertexParams, ...]
-    violations: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_universal_vertex_cycles(d: Digraph) -> UniversalVertexReport:
-    """Check that every vertex satisfying the hypothesis really lies on
-    out-degree many arc-disjoint cycles."""
-    checked = []
-    violations = []
-    for v0 in range(d.n):
-        params = universal_vertex_params(d, v0)
-        if params is None or not params.guarantee_applies():
-            continue
-        checked.append(params)
-        value, _ = max_cycles_through(d, v0)
-        if value < params.out_degree:
-            violations.append(v0)
-    return UniversalVertexReport(checked=tuple(checked), violations=tuple(violations))

@@ -37,6 +37,8 @@ def label_of(v: int) -> str:
 
 def vertex_of(d: Digraph, label: str) -> int:
     """Index of a single-letter vertex label in a built-in instance."""
+    if len(label) != 1 or label not in LETTERS:
+        raise ValueError(f"bad vertex label {label!r}")
     v = LETTERS.index(label)
     if v >= d.n:
         raise ValueError(f"vertex {label!r} not present (order {d.n})")

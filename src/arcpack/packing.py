@@ -677,13 +677,3 @@ def max_triangles_through(d: Digraph, v: int) -> tuple[int, tuple[Cycle, ...]]:
         sorted(normalize_cycle((v, x, y)) for y, x in match_of.items())
     )
     return size, triangles
-
-
-def mindeg_triangle_packing_holds(t: Digraph) -> bool:
-    """Whether some minimum-out-degree vertex lies on at least
-    min-out-degree many arc-disjoint 3-cycles."""
-    k = t.min_out_degree()
-    return any(
-        t.out_degree(v) == k and max_triangles_through(t, v)[0] >= k
-        for v in range(t.n)
-    )

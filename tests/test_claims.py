@@ -134,6 +134,11 @@ class TestFormat:
             ClaimResult("X", "PASS", "1 2", "1", 0.0)
         with pytest.raises(ValueError, match="space-free"):
             ClaimResult("X", "PASS", "1", "", 0.0)
+        # the id is a field of the claim line too
+        with pytest.raises(ValueError, match="space-free"):
+            ClaimResult("A B", "PASS", "1", "1", 0.0)
+        with pytest.raises(ValueError, match="space-free"):
+            ClaimResult("", "PASS", "1", "1", 0.0)
 
     def test_report_summary(self, results):
         text = format_report(results)

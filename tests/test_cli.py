@@ -205,11 +205,21 @@ class TestRandomCheck:
 
         monkeypatch.setattr(Budget, "from_env", classmethod(counted))
         code, out, _ = run(
-            capsys, "random-check", "--model", "tournament", "--n", "5", "--count", "4",
-            "--budget-secs", "60",
+            capsys, "random-check", "--model", "tournament", "--n", "5", "--count", "4"
         )
         assert code == 0 and out.splitlines()[-1] == "ok"
-        assert calls == [(None, 60.0)]
+        assert calls == [()]
+
+    @pytest.mark.parametrize("n", ["6", "8"])
+    def test_bad_budget_env_before_output(self, capsys, monkeypatch, n):
+        # the budget bounds only the n <= 7 packing check, yet a bad value
+        # ends every run before its first line
+        monkeypatch.setenv("ARCPACK_BUDGET_SECS", "-1")
+        code, out, err = run(
+            capsys, "random-check", "--model", "tournament", "--n", n, "--count", "2"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: time budget must be positive, got -1.0\n"
 
     def test_tournament_model(self, capsys):
         code, out, _ = run(

@@ -5,13 +5,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcpack.claims import universal_vertex_cycle_counts
 from arcpack.digraph import Digraph
 from arcpack.flow import (
     UniversalVertexParams,
     max_cycles_through,
     min_arc_cover_through,
     universal_vertex_params,
-    verify_universal_vertex_cycles,
 )
 from arcpack.instances import random_oriented, random_tournament, vertex_of
 from arcpack.packing import is_valid_packing
@@ -123,19 +123,40 @@ class TestUniversalVertexParams:
 class TestGuaranteeSweeps:
     def test_builtin_tournaments_have_no_violations(self, paper_T, paper_T11):
         for t in (paper_T, paper_T11):
-            rep = verify_universal_vertex_cycles(t)
-            assert rep.ok
-            assert len(rep.checked) >= 1
+            checked, violations = universal_vertex_cycle_counts([t])
+            assert violations == 0
+            assert checked >= 1
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
     def test_random_tournaments(self, n, seed):
-        assert verify_universal_vertex_cycles(random_tournament(n, seed)).ok
+        assert universal_vertex_cycle_counts([random_tournament(n, seed)])[1] == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
     def test_random_oriented(self, n, seed):
-        assert verify_universal_vertex_cycles(random_oriented(n, 0.5, seed)).ok
+        assert universal_vertex_cycle_counts([random_oriented(n, 0.5, seed)])[1] == 0
+
+    def test_counts_match_brute(self):
+        # the counts re-derived vertex by vertex, with the brute-force
+        # cycle packing in place of max flow
+        rng = random.Random(47)
+        graphs = [
+            random_tournament(rng.randrange(2, 8), rng.randrange(1 << 32)) for _ in range(40)
+        ]
+        graphs += [
+            random_oriented(rng.randrange(2, 8), rng.uniform(0.4, 0.9), rng.randrange(1 << 32))
+            for _ in range(40)
+        ]
+        applies = [
+            (d, p)
+            for d in graphs
+            for p in (universal_vertex_params(d, v) for v in range(d.n))
+            if p is not None and p.guarantee_applies()
+        ]
+        violations = sum(cycles_through_brute(d, p.v0) < p.out_degree for d, p in applies)
+        assert universal_vertex_cycle_counts(graphs) == (len(applies), violations)
+        assert len(applies) > 0
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_flows.json").read_text())

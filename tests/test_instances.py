@@ -132,6 +132,10 @@ class TestBuiltins:
         assert vertex_of(paper_T, "m") == 12
         with pytest.raises(ValueError):
             vertex_of(builtin("paper-T7"), "m")
+        # one lower-case letter only: str.index would read "" as 0 and "bc" as 1
+        for bad in ("", "bc", "A"):
+            with pytest.raises(ValueError):
+                vertex_of(paper_T, bad)
 
 
 class TestRandomModels:
