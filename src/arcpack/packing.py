@@ -25,9 +25,14 @@ can be deleted (dropping the feedback bound by exactly one).
 The path-system search is exhaustive, so its cost is what it visits:
 
 * Per node it counts the realizations of every open requirement to
-  branch on the most constrained one.  Single-arc requirements that
-  start at the same vertex share one topological sweep of path counts
-  from that vertex (``_PathSystem.path_counts``).
+  branch on the most constrained one.  One pass in reverse topological
+  order packs, for every vertex ``v``, the numbers of ``v -> t`` paths
+  for every ``t`` into one int, an ``n``-bit field per ``t``
+  (``_PathSystem.path_table``): one int add per available arc.  A DAG
+  on ``n`` vertices has at most ``2**(n-2)`` paths between two
+  vertices, so no field overflows.  Every requirement reads its count
+  from that table, a two-arc one by inclusion-exclusion over the
+  vertices its paths must avoid.
 * Per solve it remembers the states it has refuted.  Whether a state is
   feasible depends only on the available arcs and on the multiset of
   open requirements, so one int packing both is a complete key
@@ -193,9 +198,14 @@ def is_valid_packing(d: Digraph, cycles: Iterable[Cycle]) -> bool:
 
 
 class _PathSystem:
-    """Mutable availability of the arcs of a DAG plus path queries."""
+    """Mutable availability of the arcs of a DAG plus path queries.
 
-    __slots__ = ("n", "avail", "topo", "rank", "tracker")
+    The search only reserves and releases arcs of the DAG it started
+    from, so ``plan`` lists, in reverse topological order, each vertex
+    with its field's unit and its out-neighbors in that DAG.
+    """
+
+    __slots__ = ("n", "avail", "topo", "rank", "plan", "tracker")
 
     def __init__(self, n: int, avail_rows: list[int], topo: tuple[int, ...], tracker: _Tracker):
         self.n = n
@@ -204,6 +214,7 @@ class _PathSystem:
         self.rank = [0] * n
         for i, v in enumerate(topo):
             self.rank[v] = i
+        self.plan = tuple((v, 1 << v * n, tuple(bits(avail_rows[v]))) for v in reversed(topo))
         self.tracker = tracker
 
     def place(self, arcs: Iterable[Arc]) -> None:
@@ -214,31 +225,25 @@ class _PathSystem:
         for u, v in arcs:
             self.avail[u] |= 1 << v
 
-    def path_counts(self, src: int, forbid: int = 0) -> list[int]:
-        """For every vertex t, the number of directed src->t paths on
-        available arcs whose interior avoids the vertices of ``forbid``.
+    def path_table(self) -> list[int]:
+        """For every vertex v, the number of directed v->t paths on
+        available arcs for every t, packed into one int: the count for t
+        is the ``n``-bit field at bit ``t * n`` (see ``_paths``).
 
-        One sweep in topological order from ``src``; the graph is
-        acyclic, so ``counts[src]`` is 1.
+        One pass in reverse topological order: v's int is its own unit
+        field (the empty path) plus the ints of its available
+        out-neighbors.  At most ``2**(n-2)`` paths join two vertices of
+        a DAG, so a field never carries into the next.
         """
         avail = self.avail
-        counts = [0] * self.n
-        counts[src] = 1
-        blocked = forbid & ~(1 << src)
-        for v in self.topo[self.rank[src] :]:
-            c = counts[v]
-            if c and not blocked >> v & 1:
-                m = avail[v]
-                while m:
-                    low = m & -m
-                    counts[low.bit_length() - 1] += c
-                    m ^= low
-        return counts
-
-    def count_paths(self, src: int, dst: int, forbid: int = 0) -> int:
-        """Number of directed src->dst paths on available arcs that avoid
-        the vertices of ``forbid`` (endpoints always allowed)."""
-        return self.path_counts(src, forbid)[dst]
+        table = [0] * self.n
+        for v, acc, succ in self.plan:
+            m = avail[v]
+            for w in succ:
+                if m >> w & 1:
+                    acc += table[w]
+            table[v] = acc
+        return table
 
     def iter_paths(self, src: int, dst: int, forbid: int = 0) -> Iterator[tuple[int, ...]]:
         """All src->dst paths on available arcs, lexicographic order.
@@ -281,25 +286,40 @@ def _mask(vertices: Iterable[int]) -> int:
 # A requirement is one cycle to be built:
 #   ("s", (x, y))         cycle through the single feedback arc x -> y
 #   ("c", (x, y), (u, w)) cycle through both x -> y and u -> w
-def _requirement_count(
-    ps: _PathSystem, req: tuple, sweeps: dict[int, list[int]] | None = None
-) -> int:
-    """Realizations of ``req``; ``sweeps`` caches ``path_counts`` by
-    source for the current availability."""
-    if req[0] == "s":
-        x, y = req[1]
-        if sweeps is None:
-            sweeps = {}
-        if y not in sweeps:
-            sweeps[y] = ps.path_counts(y)
-        return sweeps[y][x]
+def _paths(table: list[int], n: int, a: int, b: int) -> int:
+    """Number of a->b paths in a ``path_table`` of an ``n``-vertex DAG."""
+    return table[a] >> b * n & (1 << n) - 1
+
+
+def _avoiding_paths(table: list[int], n: int, a: int, b: int, z1: int, z2: int) -> int:
+    """Number of a->b paths whose interior avoids ``z1`` and ``z2``.
+
+    Inclusion-exclusion over the paths through each avoided vertex that
+    is not an endpoint.  The graph is acyclic, so a path through both
+    meets them in one order, and at most one order has paths at all.
+    """
+    zs = {z1, z2} - {a, b}
+    count = _paths(table, n, a, b)
+    for z in zs:
+        count -= _paths(table, n, a, z) * _paths(table, n, z, b)
+    if len(zs) == 2:
+        for p, q in ((z1, z2), (z2, z1)):
+            count += _paths(table, n, a, p) * _paths(table, n, p, q) * _paths(table, n, q, b)
+    return count
+
+
+def _requirement_count(table: list[int], n: int, req: tuple) -> int:
+    """Realizations of ``req``, read from the ``path_table`` of the
+    current availability.  A two-arc requirement counts its two paths
+    independently: each avoids the other's endpoints, not its arcs."""
     x, y = req[1]
+    if req[0] == "s":
+        return _paths(table, n, y, x)
     u, w = req[2]
-    c1 = ps.count_paths(y, u, forbid=(1 << x) | (1 << w))
+    c1 = _avoiding_paths(table, n, y, u, x, w)
     if c1 == 0:
         return 0
-    c2 = ps.count_paths(w, x, forbid=(1 << y) | (1 << u))
-    return c1 * c2
+    return c1 * _avoiding_paths(table, n, w, x, y, u)
 
 
 def _requirement_placements(
@@ -363,11 +383,12 @@ def _solve_requirements(ps: _PathSystem, reqs: list[tuple]) -> list[Cycle] | Non
     key = _state_key(ps, reqs)
     if key in refuted:
         return None
-    sweeps: dict[int, list[int]] = {}
+    table = ps.path_table()
+    n = ps.n
     best_i = -1
     best_count = None
     for i, req in enumerate(reqs):
-        c = _requirement_count(ps, req, sweeps)
+        c = _requirement_count(table, n, req)
         if c == 0:
             return None  # cheaper to count again than to store
         if best_count is None or c < best_count:

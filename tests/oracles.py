@@ -9,7 +9,9 @@ linear FAS-path test and is itself checked against
 recurrence cell by cell, the reference for the package's blocked table,
 and its last cell is checked against ``tau_perm``.  ``in_rows_reference``
 and ``parse_graph_reference`` are the per-arc loops that the package's
-bit-matrix transpose and bulk parse replaced.
+bit-matrix transpose and bulk parse replaced, and
+``path_counts_reference`` is the per-source path-count sweep that the
+path-system search's packed path table replaced.
 """
 
 from __future__ import annotations
@@ -122,6 +124,111 @@ def subset_costs_reference(d: Digraph) -> array:
                 best = c
         f[s] = best
     return f
+
+
+def path_counts_reference(
+    rows: list[int], topo: tuple[int, ...], src: int, forbid: int = 0
+) -> list[int]:
+    """For every vertex t, the number of directed src->t paths on the
+    arcs of the DAG with out-rows ``rows`` whose interior avoids the
+    vertices of ``forbid``: one sweep in topological order from ``src``.
+    Endpoints are always allowed, and ``counts[src]`` is 1."""
+    counts = [0] * len(rows)
+    counts[src] = 1
+    blocked = forbid & ~(1 << src)
+    for v in topo[topo.index(src) :]:
+        c = counts[v]
+        if c and not blocked >> v & 1:
+            m = rows[v]
+            while m:
+                low = m & -m
+                counts[low.bit_length() - 1] += c
+                m ^= low
+    return counts
+
+
+def simple_cycle_masks(d: Digraph) -> list[int]:
+    """Every simple cycle of ``d`` once, as the mask of its arcs: arc
+    (u, v) is bit ``u * n + v``.  Each cycle is walked from its smallest
+    vertex."""
+    n = d.n
+    found = []
+
+    def walk(start: int, v: int, visited: int, mask: int) -> None:
+        for w in range(start, n):
+            if d.has_arc(v, w):
+                arc = 1 << (v * n + w)
+                if w == start:
+                    found.append(mask | arc)
+                elif not visited >> w & 1:
+                    walk(start, w, visited | 1 << w, mask | arc)
+
+    for s in range(n):
+        walk(s, s, 1 << s, 0)
+    return found
+
+
+def min_fas_masks(d: Digraph) -> list[int]:
+    """Distinct minimum feedback arc sets of ``d`` as arc masks, one per
+    traceback of ``subset_costs_reference``: the r-th traceback places
+    last the first vertex from r on, cyclically, that keeps the cost."""
+    n = d.n
+    f = subset_costs_reference(d)
+    found = set()
+    for r in range(n):
+        s, mask = (1 << n) - 1, 0
+        while s:
+            for i in range(n):
+                v = (r + i) % n
+                rest = s & ~(1 << v)
+                back = d.out[v] & rest
+                if rest != s and f[rest] + back.bit_count() == f[s]:
+                    mask |= sum(1 << (v * n + w) for w in range(n) if back >> w & 1)
+                    s = rest
+                    break
+        found.add(mask)
+    return sorted(found)
+
+
+def nu_set_packing(d: Digraph) -> int:
+    """Maximum number of arc-disjoint cycles: an exact set packing of the
+    arc masks of every simple cycle.
+
+    Cycles are tried shortest first.  A node branches on the lowest arc
+    of the shortest cycle left: one of the cycles through that arc is
+    packed, or none is and they are all dropped.  Two bounds prune.
+    Every cycle uses an arc of each feedback arc set, so the cycles left
+    pack at most as many as a minimum set ``F`` has arcs among theirs;
+    at the root that is τ, and the search stops when τ is reached.  And
+    they pack at most their arcs over the shortest one's length.
+    """
+    cycles = sorted(simple_cycle_masks(d), key=lambda c: (c.bit_count(), c))
+    fas_sets = min_fas_masks(d)
+    tau = fas_sets[0].bit_count()
+    best = 0
+
+    def rec(cands: list[int], count: int) -> None:
+        nonlocal best
+        best = max(best, count)
+        if best == tau or not cands:
+            return
+        arcs = 0
+        for c in cands:
+            arcs |= c
+        bound = min(min((f & arcs).bit_count() for f in fas_sets), arcs.bit_count() // cands[0].bit_count())
+        if count + bound <= best:
+            return
+        low = cands[0] & -cands[0]
+        rest = [c for c in cands if not c & low]
+        for c in cands:
+            if c & low:
+                rec([r for r in rest if not r & c], count + 1)
+                if best == tau:
+                    return
+        rec(rest, count)
+
+    rec(cycles, 0)
+    return best
 
 
 def all_labeled_tournaments(n: int) -> Iterator[Digraph]:
