@@ -18,14 +18,18 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .digraph import Digraph, has_second_neighborhood_witness, is_eulerian
-from .enumeration import enumerate_tournaments, verify_nu_eq_tau_upto
+from .digraph import Digraph, is_eulerian
+from .enumeration import (
+    enumerate_tournaments,
+    second_neighborhood_fail,
+    verify_nu_eq_tau_upto,
+)
 from .fas import (
     feedback_arc_set_size,
     min_fas_path,
     mindeg_lower_bound,
 )
-from .flow import max_cycles_through, universal_vertex_params
+from .flow import guaranteed_cycles_through, max_cycles_through
 from .instances import (
     builtin,
     label_of,
@@ -104,10 +108,10 @@ def universal_vertex_cycle_counts(graphs: Iterable[Digraph]) -> tuple[int, int]:
     checked = violations = 0
     for g in graphs:
         for v in range(g.n):
-            params = universal_vertex_params(g, v)
-            if params is not None and params.guarantee_applies():
+            k = guaranteed_cycles_through(g, v)
+            if k is not None:
                 checked += 1
-                violations += max_cycles_through(g, v)[0] < params.out_degree
+                violations += max_cycles_through(g, v)[0] < k
     return checked, violations
 
 
@@ -132,7 +136,7 @@ def mindeg_triangle_counts(graphs: Iterable[Digraph]) -> tuple[int, int]:
 def second_neighborhood_counts(graphs: Sequence[Digraph]) -> tuple[int, int]:
     """Graphs, and those where no vertex has a second out-neighborhood at
     least as large as its first."""
-    return len(graphs), sum(not has_second_neighborhood_witness(g) for g in graphs)
+    return len(graphs), sum(map(second_neighborhood_fail, graphs))
 
 
 def packing_bruteforce_counts(graphs: Sequence[Digraph], budget: Budget) -> tuple[int, int]:

@@ -28,7 +28,7 @@ from .claims import (
     universal_vertex_cycle_counts,
     verify_paper,
 )
-from .digraph import Digraph, format_graph, parse_graph
+from .digraph import Digraph, format_graph, is_decimal, parse_graph
 from .enumeration import (
     ENUMERATION_MAX_ORDER,
     PREDICATES,
@@ -65,7 +65,7 @@ def _load_graph(source: str) -> Digraph:
 
 
 def _parse_vertex(d: Digraph, word: str) -> int:
-    if word.isascii() and word.isdigit():
+    if is_decimal(word):
         v = int(word)
     elif len(word) == 1 and word.isascii() and word.isalpha():
         v = ord(word.lower()) - ord("a")

@@ -35,7 +35,8 @@ rows hold fewer bits than there are arcs.  Only when the pass fails (a
 fault, a comment, whose first field is no label, or a label spelled
 other than canonically, such as ``07``, ``+3`` or ``1_0``) does the
 parser walk the lines in file order: the walk names the first fault as
-the format always has, or reads the labels as ``int`` does.
+the format always has, or reads the labels when they are ASCII decimal
+numbers (``07`` is 7; ``+3`` and ``1_0`` are faults).
 """
 
 from __future__ import annotations
@@ -142,18 +143,8 @@ class Digraph:
     def in_degree(self, v: int) -> int:
         return self.inn[v].bit_count()
 
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.out[v]))
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.inn[v]))
-
     def min_out_degree(self) -> int:
         return min(self.out_degree(v) for v in range(self.n))
-
-    def is_oriented(self) -> bool:
-        """True when no pair of vertices carries arcs in both directions."""
-        return all(self.out[u] & self.inn[u] == 0 for u in range(self.n))
 
     def is_tournament(self) -> bool:
         """True when every vertex pair carries exactly one arc."""
@@ -296,14 +287,6 @@ def second_out_neighborhood(d: Digraph, v: int) -> frozenset[int]:
     return frozenset(bits(second))
 
 
-def has_second_neighborhood_witness(d: Digraph) -> bool:
-    """Some vertex has a second out-neighborhood at least as large as its
-    first (tournaments are expected to always have one)."""
-    return any(
-        len(second_out_neighborhood(d, v)) >= d.out_degree(v) for v in range(d.n)
-    )
-
-
 # -- connectivity and degree balance ----------------------------------
 
 
@@ -351,6 +334,12 @@ def is_eulerian(d: Digraph) -> bool:
 _LABEL = {str(v): v for v in range(MAX_VERTICES + 1)}
 
 
+def is_decimal(word: str) -> bool:
+    """True when ``word`` is ASCII digits only: no sign, no ``_``, no other
+    script's digits, all of which ``int`` would accept."""
+    return word.isascii() and word.isdigit()
+
+
 def parse_graph(text: str) -> Digraph:
     """Parse the plain text format: header ``n m`` then ``m`` lines ``u v``.
 
@@ -378,10 +367,9 @@ def parse_graph(text: str) -> Digraph:
     parts = header.split()
     if len(parts) != 2:
         raise ValueError(f"line {lineno}: header must be 'n m', got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"line {lineno}: header must be two integers") from None
+    if not all(map(is_decimal, parts)):
+        raise ValueError(f"line {lineno}: header must be two integers")
+    n, m = map(int, parts)
     body = numbered[1:]
     if len(body) != m:
         raise ValueError(f"header announces {m} arcs but {len(body)} arc lines found")
@@ -390,11 +378,9 @@ def parse_graph(text: str) -> Digraph:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: arc line must be 'u v', got {line!r}")
-        u, v = parts
-        try:
-            arcs.append((int(u), int(v)))
-        except ValueError:
-            raise ValueError(f"line {lineno}: arc endpoints must be integers") from None
+        if not all(map(is_decimal, parts)):
+            raise ValueError(f"line {lineno}: arc endpoints must be integers")
+        arcs.append((int(parts[0]), int(parts[1])))
     try:
         return Digraph.from_arcs(n, arcs)
     except ValueError as exc:

@@ -188,18 +188,17 @@ def feedback_arc_set_size(d: Digraph) -> int:
     return _subset_costs(d)[(1 << d.n) - 1]
 
 
-def _arc_key(arcs: frozenset[Arc]) -> tuple[Arc, ...]:
-    return tuple(sorted(arcs))
-
-
 def enumerate_min_fas(d: Digraph, limit: int) -> list[frozenset[Arc]]:
-    """Distinct minimum feedback arc sets, at most ``limit`` of them.
+    """Every distinct minimum feedback arc set, sorted by their sorted arc
+    tuple; ``ValueError`` when there are more than ``limit``.
 
     Walks every optimal traceback of the subset DP, merging duplicate
     partial backward arc sets per subset so that graphs with many optimal
-    orderings but few distinct arc sets stay cheap.  Results are sorted by
-    their sorted arc tuple; when more than ``limit`` distinct sets exist,
-    the returned list is a deterministic subset.
+    orderings but few distinct arc sets stay cheap.  It raises as soon as
+    one subset holds more than ``limit`` partial sets, which is exact:
+    every subset walked is the prefix of an optimal ordering, so its
+    distinct partial sets, each extended by the backward arcs of one
+    fixed optimal suffix, are that many distinct minimum sets.
     """
     if d.n > ENUMERATE_MAX_VERTICES:
         raise ValueError(
@@ -209,12 +208,9 @@ def enumerate_min_fas(d: Digraph, limit: int) -> list[frozenset[Arc]]:
         raise ValueError(f"limit must be positive, got {limit}")
     f = _subset_costs(d)
     out = d.out
-    # Keep at most this many partial sets per subset; binds only on graphs
-    # with more distinct optimal sets than anyone asked for.
-    per_subset = max(4 * limit, 64)
-    memo: dict[int, tuple[frozenset[Arc], ...]] = {0: (frozenset(),)}
+    memo: dict[int, set[frozenset[Arc]]] = {0: {frozenset()}}
 
-    def partial_sets(s: int) -> tuple[frozenset[Arc], ...]:
+    def partial_sets(s: int) -> set[frozenset[Arc]]:
         cached = memo.get(s)
         if cached is not None:
             return cached
@@ -224,12 +220,12 @@ def enumerate_min_fas(d: Digraph, limit: int) -> list[frozenset[Arc]]:
             added = frozenset((v, u) for u in bits(out[v] & rest))
             for prior in partial_sets(rest):
                 found.add(prior | added)
-        result = tuple(sorted(found, key=_arc_key)[:per_subset])
-        memo[s] = result
-        return result
+        if len(found) > limit:
+            raise ValueError(f"more than {limit} minimum feedback arc sets")
+        memo[s] = found
+        return found
 
-    full = (1 << d.n) - 1
-    return [frozenset(a) for a in partial_sets(full)[:limit]]
+    return sorted(partial_sets((1 << d.n) - 1), key=sorted)
 
 
 def mindeg_lower_bound(d: Digraph) -> int:

@@ -17,13 +17,12 @@ columns of a capacity matrix, and stops at the first vertex whose row
 holds the sink, the sink's parent in that scan.  The augmenting paths,
 witness cycles and cut thus do not depend on the representation.
 
-Also hosts the sufficient condition for a vertex adjacent to all others
-to lie on out-degree many arc-disjoint cycles.
+Also hosts ``guaranteed_cycles_through``, the sufficient condition for a
+vertex adjacent to all others to lie on out-degree many arc-disjoint
+cycles.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .digraph import Arc, Digraph, bits
 from .packing import Cycle, normalize_cycle
@@ -133,47 +132,27 @@ def min_arc_cover_through(d: Digraph, v0: int) -> frozenset[Arc]:
 # -- sufficient condition for out-degree many cycles ------------------
 
 
-@dataclass(frozen=True)
-class UniversalVertexParams:
-    """Degrees governing the cycle guarantee at a vertex adjacent to all
-    others.
+def guaranteed_cycles_through(d: Digraph, v0: int) -> int | None:
+    """Out-degree many arc-disjoint cycles through ``v0``, when the degree
+    condition guarantees them: ``d+(v0)``, else ``None``.
 
-    ``min_out_over_out`` is the smallest out-degree among out-neighbors,
-    ``min_out_over_in`` the same over in-neighbors (``None`` when there
-    are no in-neighbors, acting as plus infinity).
+    The condition: ``v0`` is adjacent to every other vertex (an arc in
+    either direction), ``d+(v0) <= a``, and either ``v0`` has no
+    in-neighbor or ``2 d+(v0) <= a + b + 1``, with ``a`` and ``b`` the
+    least out-degrees over the out- and the in-neighbors of ``v0``.  All
+    arithmetic is on integers.  Out-degree 0 gives the vacuous 0.
     """
-
-    v0: int
-    out_degree: int
-    min_out_over_out: int | None
-    min_out_over_in: int | None
-
-    def guarantee_applies(self) -> bool:
-        """True when out_degree <= min(a, (a + b + 1) / 2) holds exactly,
-        with a, b the neighborhood minima above.  All arithmetic is on
-        integers; a missing neighborhood acts as plus infinity."""
-        a = self.min_out_over_out
-        b = self.min_out_over_in
-        if a is None:
-            return True  # out-degree is 0, the guarantee is vacuous
-        if self.out_degree > a:
-            return False
-        return b is None or 2 * self.out_degree <= a + b + 1
-
-
-def universal_vertex_params(d: Digraph, v0: int) -> UniversalVertexParams | None:
-    """The guarantee's degree parameters, or ``None`` when some vertex is
-    not adjacent to ``v0`` (no arc in either direction)."""
     if not 0 <= v0 < d.n:
         raise ValueError(f"vertex {v0} out of range")
-    full = ((1 << d.n) - 1) & ~(1 << v0)
-    if (d.out[v0] | d.inn[v0]) != full:
+    outs, ins = d.out[v0], d.inn[v0]
+    if outs | ins != ((1 << d.n) - 1) & ~(1 << v0):
         return None
-    outs = [d.out_degree(w) for w in bits(d.out[v0])]
-    ins = [d.out_degree(w) for w in bits(d.inn[v0])]
-    return UniversalVertexParams(
-        v0=v0,
-        out_degree=d.out_degree(v0),
-        min_out_over_out=min(outs) if outs else None,
-        min_out_over_in=min(ins) if ins else None,
-    )
+    k = outs.bit_count()
+    if not k:
+        return 0
+    a = min(d.out[w].bit_count() for w in bits(outs))
+    if k > a:
+        return None
+    if ins and 2 * k > a + min(d.out[w].bit_count() for w in bits(ins)) + 1:
+        return None
+    return k

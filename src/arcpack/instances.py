@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .digraph import Arc, Digraph
+from .digraph import Arc, Digraph, is_decimal
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -92,9 +92,7 @@ def paper_T_backward_arcs() -> frozenset[Arc]:
 
 def paper_Tprime() -> Digraph:
     """``paper_T`` with the pairs cm, ck, ak re-oriented to mc, kc, ka."""
-    t = paper_T()
-    flipped = _parse_pairs(_TPRIME_FLIPPED)
-    return t.without_arcs((v, u) for u, v in flipped).with_arcs(flipped)
+    return _tournament_from_backward(13, _parse_pairs(f"{_T_BACKWARD} {_TPRIME_FLIPPED}"))
 
 
 def paper_T7() -> Digraph:
@@ -148,7 +146,7 @@ def builtin(name: str) -> Digraph:
         return _BUILTINS[name]()
     if name.startswith("transitive-"):
         size = name.removeprefix("transitive-")
-        if not (size.isascii() and size.isdigit()):
+        if not is_decimal(size):
             raise ValueError(f"bad transitive size in {name!r}")
         return transitive_tournament(int(size))
     raise ValueError(

@@ -17,11 +17,12 @@ path-system search's packed path table replaced.
 from __future__ import annotations
 
 import random
+import re
 from array import array
 from itertools import combinations, permutations
 from typing import Iterator
 
-from arcpack.digraph import Digraph
+from arcpack.digraph import Digraph, bits
 from arcpack.instances import random_oriented, random_tournament
 
 
@@ -38,8 +39,9 @@ def in_rows_reference(rows: list[int]) -> tuple[int, ...]:
 
 
 def parse_graph_reference(text: str) -> Digraph:
-    """The edge-list format line by line: every line's shape and integers
-    in file order, then every arc's range, loop and duplicate in order."""
+    """The edge-list format line by line: every line's shape and ASCII
+    decimal numbers in file order, then every arc's range, loop and
+    duplicate in order."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -51,10 +53,9 @@ def parse_graph_reference(text: str) -> Digraph:
     parts = header.split()
     if len(parts) != 2:
         raise ValueError(f"line {lineno}: header must be 'n m', got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"line {lineno}: header must be two integers") from None
+    if not all(re.fullmatch("[0-9]+", p) for p in parts):
+        raise ValueError(f"line {lineno}: header must be two integers")
+    n, m = int(parts[0]), int(parts[1])
     body = rows[1:]
     if len(body) != m:
         raise ValueError(f"header announces {m} arcs but {len(body)} arc lines found")
@@ -63,11 +64,9 @@ def parse_graph_reference(text: str) -> Digraph:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: arc line must be 'u v', got {line!r}")
-        u, v = parts
-        try:
-            arcs.append((int(u), int(v)))
-        except ValueError:
-            raise ValueError(f"line {lineno}: arc endpoints must be integers") from None
+        if not all(re.fullmatch("[0-9]+", p) for p in parts):
+            raise ValueError(f"line {lineno}: arc endpoints must be integers")
+        arcs.append((int(parts[0]), int(parts[1])))
     try:
         return Digraph.from_arcs(n, arcs)
     except ValueError as exc:
@@ -267,7 +266,7 @@ def canonical_brute(t: Digraph) -> tuple[int, int]:
 def scc_brute(d: Digraph) -> set[frozenset[int]]:
     """Strong components as classes of mutual reachability, by transitive
     closure over vertex sets."""
-    reach = [{v} | set(d.out_neighbors(v)) for v in range(d.n)]
+    reach = [{v} | set(bits(d.out[v])) for v in range(d.n)]
     changed = True
     while changed:
         changed = False
@@ -282,10 +281,10 @@ def scc_brute(d: Digraph) -> set[frozenset[int]]:
 
 
 def second_out_brute(d: Digraph, v: int) -> set[int]:
-    first = set(d.out_neighbors(v))
+    first = set(bits(d.out[v]))
     second = set()
     for x in first:
-        second.update(d.out_neighbors(x))
+        second.update(bits(d.out[x]))
     return second - first - {v}
 
 
@@ -294,7 +293,7 @@ def simple_cycles_through(d: Digraph, v0: int) -> list[tuple[int, ...]]:
     found = []
 
     def walk(v: int, visited: int, path: list[int]) -> None:
-        for w in d.out_neighbors(v):
+        for w in bits(d.out[v]):
             if w == v0:
                 found.append(tuple(path))
             elif not (visited >> w) & 1:

@@ -39,6 +39,14 @@ class TestTau:
         code, out, _ = run(capsys, "tau", "-")
         assert code == 0 and out.splitlines()[0] == "tau=1"
 
+    @pytest.mark.parametrize("text", ["11 1\n0 1_0\n", "3 1\n0 +2\n", "3 1\n0 \u0662\n"])
+    def test_labels_are_ascii_decimal(self, capsys, tmp_path, text):
+        p = tmp_path / "g.txt"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "nu", str(p))
+        assert code == 2 and out == ""
+        assert err == "error: line 2: arc endpoints must be integers\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "tau", "does-not-exist.txt")
         assert code == 2

@@ -10,7 +10,6 @@ from arcpack.digraph import (
     backward_arcs,
     bits,
     format_graph,
-    has_second_neighborhood_witness,
     is_acyclic,
     is_eulerian,
     is_strongly_connected,
@@ -19,6 +18,7 @@ from arcpack.digraph import (
     second_out_neighborhood,
     topological_order,
 )
+from arcpack.enumeration import second_neighborhood_fail
 from arcpack.instances import random_tournament
 from oracles import (
     hamiltonian_path,
@@ -72,14 +72,14 @@ class TestConstruction:
 
     def test_two_cycle_is_allowed(self):
         d = Digraph.from_arcs(2, [(0, 1), (1, 0)])
-        assert not d.is_oriented()
+        assert d.out[0] & d.inn[0]  # not oriented
         assert not d.is_tournament()
 
     def test_degrees_and_neighbors(self):
         d = Digraph.from_arcs(4, [(0, 1), (0, 2), (3, 1)])
         assert d.out_degree(0) == 2 and d.in_degree(1) == 2
-        assert d.out_neighbors(0) == (1, 2)
-        assert d.in_neighbors(1) == (0, 3)
+        assert list(bits(d.out[0])) == [1, 2]
+        assert list(bits(d.inn[1])) == [0, 3]
         assert d.min_out_degree() == 0
 
 
@@ -221,8 +221,8 @@ class TestNeighborhoods:
 
     def test_second_neighborhood_witness(self):
         # in a 2-cycle each vertex's only second out-neighbor is itself
-        assert not has_second_neighborhood_witness(Digraph.from_arcs(2, [(0, 1), (1, 0)]))
-        assert has_second_neighborhood_witness(Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]))
+        assert second_neighborhood_fail(Digraph.from_arcs(2, [(0, 1), (1, 0)]))
+        assert not second_neighborhood_fail(Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]))
 
 
 class TestConnectivity:
@@ -299,6 +299,13 @@ class TestTextFormat:
             ("2 1\n0 x\n", "integers"),
             ("2 1\n0 1 2\n", "arc line"),
             ("2 1\n0 2\n", "invalid graph"),
+            # int() reads these labels: an underscore, a plus or a minus
+            # sign, Arabic-Indic two, fullwidth three
+            ("11 1\n0 1_0\n", "^line 2: arc endpoints must be integers$"),
+            ("3 1\n0 +2\n", "^line 2: arc endpoints must be integers$"),
+            ("3 1\n-1 2\n", "^line 2: arc endpoints must be integers$"),
+            ("3 1\n0 \u0662\n", "^line 2: arc endpoints must be integers$"),
+            ("\uff13 1\n0 1\n", "^line 1: header must be two integers$"),
         ],
     )
     def test_parse_errors(self, text, msg):
@@ -326,7 +333,8 @@ class TestTextFormat:
 
 
 def _spell(v: int, how: str) -> str:
-    """A label as ``int`` reads it, spelled one of several ways."""
+    """A label spelled one of several ways that ``int`` reads; only the
+    canonical and the zero-padded spellings are ASCII decimal numbers."""
     if how == "padded":
         return f"0{v}"
     if how == "plus":
@@ -413,6 +421,10 @@ class TestParseMatchesReference:
             "4 1\n+3 1\n",
             "4 1\n\u0663 1\n",
             "11 1\n1_0 0\n",
+            "11 1\n0 1_0\n",
+            "3 1\n0 +2\n",
+            "3 1\n0 \u0662\n",
+            "\uff13 1\n0 1\n",
             "007 1\n0 1\n",
             "3 01\n0 1\n",
             "64 1\n63 0\n",

@@ -32,6 +32,7 @@ from oracles import (
     golden_graph,
     hamiltonian_path,
     min_fas_sets_brute,
+    nu_set_packing,
     random_digraph,
     subset_costs_reference,
     tau_perm,
@@ -150,8 +151,9 @@ GOLDEN_FAS = json.loads((Path(__file__).parent / "golden_fas.json").read_text())
 
 
 class TestGoldenFas:
-    """``golden_fas.json`` holds τ, the ordering, its arcs and up to 50
-    minimum FAS (for n <= 16), recorded with the cell-by-cell table."""
+    """``golden_fas.json`` holds τ, the ordering, its arcs and the first 50
+    minimum FAS in sorted order (for n <= 16), recorded with the
+    cell-by-cell table."""
 
     @pytest.mark.parametrize(
         "case", GOLDEN_FAS, ids=lambda c: f"{c['kind']}-{c['n']}-{c['seed']}"
@@ -163,7 +165,7 @@ class TestGoldenFas:
         assert list(res.ordering) == case["ordering"]
         assert sorted(map(list, res.arcs)) == case["arcs"]
         if case["min_fas"] is not None:
-            sets = enumerate_min_fas(d, 50)
+            sets = enumerate_min_fas(d, 10_000)[:50]
             assert [sorted(map(list, s)) for s in sets] == case["min_fas"]
 
 
@@ -289,9 +291,22 @@ class TestEnumerateMinFas:
         sets = enumerate_min_fas(paper_T7, limit=500)
         assert len(sets) == 13
 
-    def test_limit_truncates_deterministically(self, paper_T7):
-        sets = enumerate_min_fas(paper_T7, limit=500)
-        assert enumerate_min_fas(paper_T7, limit=5) == sets[:5]
+    def test_limit_is_exact_on_paper_T7(self, paper_T7):
+        sets = enumerate_min_fas(paper_T7, limit=13)
+        assert len(sets) == 13
+        with pytest.raises(ValueError, match="more than 12"):
+            enumerate_min_fas(paper_T7, limit=12)
+
+    def test_limit_is_exact_on_random_graphs(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            n = rng.randrange(2, 7)
+            d = random_digraph(n, rng.uniform(0.3, 0.8), rng.randrange(1 << 32))
+            brute = min_fas_sets_brute(d)
+            assert set(enumerate_min_fas(d, limit=len(brute))) == brute
+            if len(brute) > 1:
+                with pytest.raises(ValueError, match="more than"):
+                    enumerate_min_fas(d, limit=len(brute) - 1)
 
     def test_sorted_output(self, paper_T7):
         sets = enumerate_min_fas(paper_T7, limit=500)
@@ -301,6 +316,34 @@ class TestEnumerateMinFas:
     def test_vertex_cap(self):
         with pytest.raises(ValueError, match="capped at 16"):
             enumerate_min_fas(Digraph(17, [0] * 17), limit=10)
+
+
+class TestIsaakAtTen:
+    """A 10-vertex answer to Isaak's question, three vertices below the
+    13-vertex ``paper_T``: a minimum FAS inducing a hamiltonian path while
+    the arc-disjoint cycles fall one short of it."""
+
+    BACKWARD = frozenset({(2, 0), (4, 2), (6, 0), (6, 4), (9, 0), (9, 2), (9, 4), (9, 6)})
+
+    @pytest.fixture(scope="class")
+    def t(self):
+        # ordering 0..9; every pair not in BACKWARD points forward
+        pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+        arcs = [(v, u) if (v, u) in self.BACKWARD else (u, v) for u, v in pairs]
+        return Digraph.from_arcs(10, arcs)
+
+    def test_tau(self, t):
+        assert t.is_tournament()
+        assert min_feedback_arc_set(t).tau == 8
+        assert subset_costs_reference(t)[(1 << 10) - 1] == 8
+
+    def test_min_fas_induces_path(self, t):
+        assert min_fas_path(t, self.BACKWARD) == (9, 6, 4, 2, 0)
+
+    def test_nu(self, t):
+        rep = max_cycle_packing(t)
+        assert (rep.value, rep.optimal) == (7, True)
+        assert nu_set_packing(t) == 7
 
 
 class TestMindegLowerBound:

@@ -1,17 +1,17 @@
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcpack.claims import universal_vertex_cycle_counts
-from arcpack.digraph import Digraph
+from arcpack.digraph import Digraph, bits
 from arcpack.flow import (
-    UniversalVertexParams,
+    guaranteed_cycles_through,
     max_cycles_through,
     min_arc_cover_through,
-    universal_vertex_params,
 )
 from arcpack.instances import random_oriented, random_tournament, vertex_of
 from arcpack.packing import is_valid_packing
@@ -74,7 +74,7 @@ class TestMinArcCover:
     def test_T11_cut_is_out_star(self, paper_T11):
         k = vertex_of(paper_T11, "k")
         cut = min_arc_cover_through(paper_T11, k)
-        assert cut == frozenset((k, w) for w in paper_T11.out_neighbors(k))
+        assert cut == frozenset((k, w) for w in bits(paper_T11.out[k]))
 
     def test_duality_and_coverage(self):
         rng = random.Random(42)
@@ -89,35 +89,84 @@ class TestMinArcCover:
                 assert not simple_cycles_through(d.without_arcs(cut), v)
 
 
+def _degrees(d, v0):
+    """(d+(v0), a, b) when ``v0`` is adjacent to every other vertex, else
+    None; a and b are the least out-degrees over the out- and the
+    in-neighbors of ``v0``, None over an empty neighborhood."""
+    others = [w for w in range(d.n) if w != v0]
+    if not all(d.has_arc(v0, w) or d.has_arc(w, v0) for w in others):
+        return None
+    a = min((d.out_degree(w) for w in others if d.has_arc(v0, w)), default=None)
+    b = min((d.out_degree(w) for w in others if d.has_arc(w, v0)), default=None)
+    return d.out_degree(v0), a, b
+
+
+def _guarantee_reference(d, v0):
+    """The guarantee read off its definition: d+(v0) <= min(a, (a+b+1)/2)
+    in exact fractions, b infinite without in-neighbors, and the vacuous
+    0 at out-degree 0."""
+    degrees = _degrees(d, v0)
+    if degrees is None:
+        return None
+    k, a, b = degrees
+    if k == 0:
+        return 0
+    bound = a if b is None else min(a, Fraction(a + b + 1, 2))
+    return k if k <= bound else None
+
+
+def _boundary(k, a, b):
+    """Which boundary of the condition the degrees sit on, if any."""
+    if k == 0:
+        return "d=0"
+    if k > a:
+        return "d>a"
+    if b is not None and 2 * k - a - b in (1, 2):
+        return f"2d=a+b+{2 * k - a - b}"
+    return None
+
+
 class TestUniversalVertexParams:
+    """``guaranteed_cycles_through`` against the degree parameters d+, a
+    and b of a vertex adjacent to all others."""
+
     def test_non_universal_vertex_is_none(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
-        assert universal_vertex_params(d, 0) is None  # 0-2 not adjacent
+        assert guaranteed_cycles_through(d, 0) is None  # 0-2 not adjacent
 
     def test_tournament_params(self, paper_T11):
+        # out-degree 5 and every out-degree 5: d+ = a, 2d+ <= a + b + 1
         k = vertex_of(paper_T11, "k")
-        p = universal_vertex_params(paper_T11, k)
-        assert p == UniversalVertexParams(
-            v0=k, out_degree=5, min_out_over_out=5, min_out_over_in=5
-        )
-        assert p.guarantee_applies()
-
-    def test_boundary_arithmetic(self):
-        # 2d <= a + b + 1 must hold exactly, not approximately
-        assert UniversalVertexParams(0, 3, 3, 2).guarantee_applies()  # 6 <= 6
-        assert not UniversalVertexParams(0, 3, 3, 1).guarantee_applies()  # 6 > 5
-        assert not UniversalVertexParams(0, 4, 3, 9).guarantee_applies()  # d > a
-        # empty out-neighborhood side: minimum over nothing imposes nothing
-        assert UniversalVertexParams(0, 0, None, 0).guarantee_applies()
+        assert _degrees(paper_T11, k) == (5, 5, 5)
+        assert guaranteed_cycles_through(paper_T11, k) == 5
 
     def test_sink_universal_vertex(self):
         # vertex 2 sees both others, out-degree 0: hypothesis holds trivially
         d = Digraph.from_arcs(3, [(0, 2), (1, 2), (0, 1)])
-        p = universal_vertex_params(d, 2)
-        assert p is not None
-        assert p.out_degree == 0
-        assert p.guarantee_applies()
+        assert guaranteed_cycles_through(d, 2) == 0
         assert max_cycles_through(d, 2)[0] == 0
+
+    def test_vertex_range(self, paper_T7):
+        with pytest.raises(ValueError, match="out of range"):
+            guaranteed_cycles_through(paper_T7, 7)
+
+    def test_boundary_arithmetic(self):
+        # seeded tournaments of order 3..9 meet every boundary of the
+        # condition within 100 graphs; each vertex is checked against
+        # the definition, and each boundary gets its expected verdict
+        rng = random.Random(0)
+        seen = {}
+        for _ in range(100):
+            t = random_tournament(rng.randrange(3, 10), rng.randrange(1 << 32))
+            for v in range(t.n):
+                got = guaranteed_cycles_through(t, v)
+                assert got == _guarantee_reference(t, v)
+                degrees = _degrees(t, v)
+                seen.setdefault(_boundary(*degrees), []).append((got, degrees[0]))
+        assert {"2d=a+b+1", "2d=a+b+2", "d>a", "d=0"} <= set(seen)
+        assert all(got == k for got, k in seen["2d=a+b+1"])
+        assert all(got is None for got, _ in seen["2d=a+b+2"] + seen["d>a"])
+        assert all(got == 0 for got, _ in seen["d=0"])
 
 
 class TestGuaranteeSweeps:
@@ -149,12 +198,12 @@ class TestGuaranteeSweeps:
             for _ in range(40)
         ]
         applies = [
-            (d, p)
+            (d, v, k)
             for d in graphs
-            for p in (universal_vertex_params(d, v) for v in range(d.n))
-            if p is not None and p.guarantee_applies()
+            for v in range(d.n)
+            if (k := guaranteed_cycles_through(d, v)) is not None
         ]
-        violations = sum(cycles_through_brute(d, p.v0) < p.out_degree for d, p in applies)
+        violations = sum(cycles_through_brute(d, v) < k for d, v, k in applies)
         assert universal_vertex_cycle_counts(graphs) == (len(applies), violations)
         assert len(applies) > 0
 
@@ -189,10 +238,10 @@ def _graphs():
 
 def _on_cycle_through(d, v0):
     """Whether ``v0`` reaches itself again along the arcs of ``d``."""
-    todo = list(d.out_neighbors(v0))
+    todo = list(bits(d.out[v0]))
     seen = set(todo)
     while todo:
-        for w in d.out_neighbors(todo.pop()):
+        for w in bits(d.out[todo.pop()]):
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
