@@ -28,19 +28,23 @@ The path-system search is exhaustive, so its cost is what it visits:
   branch on the most constrained one.  One pass in reverse topological
   order packs, for every vertex ``v``, the numbers of ``v -> t`` paths
   for every ``t`` into one int, an ``n``-bit field per ``t``
-  (``_PathSystem.path_table``): one int add per available arc.  A DAG
-  on ``n`` vertices has at most ``2**(n-2)`` paths between two
-  vertices, so no field overflows.  Every requirement reads its count
-  from that table, a two-arc one by inclusion-exclusion over the
-  vertices its paths must avoid.
+  (``_PathSystem.path_table``): one int add per available arc, over
+  out-neighbor tuples cached per row value, so reserved arcs cost
+  nothing.  A DAG on ``n`` vertices has at most ``2**(n-2)`` paths
+  between two vertices, so no field overflows.  A single-arc
+  requirement reads its count from one field of that table, a two-arc
+  one by inclusion-exclusion over the vertices its paths must avoid.
 * Per solve it remembers the states it has refuted.  Whether a state is
   feasible depends only on the available arcs and on the multiset of
-  open requirements, so one int packing both is a complete key
-  (``_state_key``).  The memo lives on the solve's ``_Tracker``, which
-  lets every shape of every ``_decide`` call, those under the general
-  branch-and-bound included, share it.  Only refutations are stored, so
-  a hit prunes a branch that would fail anyway and answers and
-  certificates are the same as without it.
+  open requirements, so one int packing both is a complete key.  The
+  key is kept up to date rather than rebuilt: reserving or releasing an
+  arc flips its bit, and realizing a requirement subtracts its fixed
+  part of the requirement code (``_solve_requirements``), so a node
+  costs one int ``|`` for its key.  The memo lives on the solve's
+  ``_Tracker``, which lets every shape of every ``_decide`` call, those
+  under the general branch-and-bound included, share it.  Only
+  refutations are stored, so a hit prunes a branch that would fail
+  anyway and answers and certificates are the same as without it.
   A state refuted because some requirement has no realization at all is
   not stored: counting again is cheaper.  At most ``MEMO_MAX_ENTRIES``
   states are kept; later refutations are not stored.
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Iterator
@@ -66,8 +71,11 @@ Cycle = tuple[int, ...]
 BRUTEFORCE_MAX_VERTICES = 7
 
 # Refuted path-system states kept per solve; a key of a 16-vertex
-# tournament's search takes about 150 bytes with its set slot.
+# tournament's search takes about 90 bytes, about 160 with its set slot.
 MEMO_MAX_ENTRIES = 1 << 17
+
+# Low bits of a memo key: the vertex count and the requirement count width.
+_KEY_TAG_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,9 @@ class PackingReport:
     exists; otherwise ``value`` is a lower bound reached within budget.
     ``stop_reason`` is ``"optimal"``, ``"node budget"`` or ``"time
     budget"``: the limit that stopped the search, if any.
+    ``memo_entries`` is the number of refuted path-system states the
+    solve stored, and ``memo_hits`` how many search nodes one of them
+    answered.
     """
 
     value: int
@@ -121,13 +132,15 @@ class PackingReport:
     nodes_explored: int
     elapsed: float
     stop_reason: str
+    memo_entries: int
+    memo_hits: int
 
 
 class _Tracker:
     """Counts search nodes, enforces the budget, and holds the solve's
     memo of refuted path-system states."""
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "polls", "refuted")
+    __slots__ = ("nodes", "max_nodes", "deadline", "polls", "refuted", "hits")
 
     def __init__(self, budget: Budget):
         self.nodes = 0
@@ -135,6 +148,7 @@ class _Tracker:
         self.deadline = time.perf_counter() + budget.max_secs
         self.polls = 0
         self.refuted: set[int] = set()
+        self.hits = 0
 
     def tick(self) -> None:
         self.nodes += 1
@@ -200,30 +214,41 @@ def is_valid_packing(d: Digraph, cycles: Iterable[Cycle]) -> bool:
 class _PathSystem:
     """Mutable availability of the arcs of a DAG plus path queries.
 
-    The search only reserves and releases arcs of the DAG it started
-    from, so ``plan`` lists, in reverse topological order, each vertex
-    with its field's unit and its out-neighbors in that DAG.
+    ``avail`` holds one row of available out-neighbors per vertex, and
+    ``flat`` the same arcs as one int, arc (u, v) at bit
+    ``_KEY_TAG_BITS + u * n + v``: the low part of every memo key, kept
+    up to date one bit per reserved or released arc.  ``plan`` lists the
+    vertices in reverse topological order, each with its field's unit;
+    ``succ`` maps each row value seen so far to its out-neighbors.
     """
 
-    __slots__ = ("n", "avail", "topo", "rank", "plan", "tracker")
+    __slots__ = ("n", "fmask", "avail", "flat", "topo", "rank", "plan", "succ", "tracker")
 
     def __init__(self, n: int, avail_rows: list[int], topo: tuple[int, ...], tracker: _Tracker):
         self.n = n
+        self.fmask = (1 << n) - 1
         self.avail = avail_rows
+        self.flat = sum(row << _KEY_TAG_BITS + u * n for u, row in enumerate(avail_rows))
         self.topo = topo
         self.rank = [0] * n
         for i, v in enumerate(topo):
             self.rank[v] = i
-        self.plan = tuple((v, 1 << v * n, tuple(bits(avail_rows[v]))) for v in reversed(topo))
+        self.plan = tuple((v, 1 << v * n) for v in reversed(topo))
+        self.succ: dict[int, tuple[int, ...]] = {}
         self.tracker = tracker
 
     def place(self, arcs: Iterable[Arc]) -> None:
+        """Reserve available ``arcs``, or release reserved ones: either
+        way each arc's bit flips in its row and in ``flat``."""
+        avail = self.avail
+        n = self.n
+        flat = self.flat
         for u, v in arcs:
-            self.avail[u] &= ~(1 << v)
+            avail[u] ^= 1 << v
+            flat ^= 1 << _KEY_TAG_BITS + u * n + v
+        self.flat = flat
 
-    def unplace(self, arcs: Iterable[Arc]) -> None:
-        for u, v in arcs:
-            self.avail[u] |= 1 << v
+    unplace = place
 
     def path_table(self) -> list[int]:
         """For every vertex v, the number of directed v->t paths on
@@ -232,16 +257,20 @@ class _PathSystem:
 
         One pass in reverse topological order: v's int is its own unit
         field (the empty path) plus the ints of its available
-        out-neighbors.  At most ``2**(n-2)`` paths join two vertices of
-        a DAG, so a field never carries into the next.
+        out-neighbors, read from ``succ``.  At most ``2**(n-2)`` paths
+        join two vertices of a DAG, so a field never carries into the
+        next.
         """
         avail = self.avail
+        succ = self.succ
         table = [0] * self.n
-        for v, acc, succ in self.plan:
-            m = avail[v]
-            for w in succ:
-                if m >> w & 1:
-                    acc += table[w]
+        for v, acc in self.plan:
+            row = avail[v]
+            ws = succ.get(row)
+            if ws is None:
+                ws = succ[row] = tuple(bits(row))
+            for w in ws:
+                acc += table[w]
             table[v] = acc
         return table
 
@@ -308,13 +337,13 @@ def _avoiding_paths(table: list[int], n: int, a: int, b: int, z1: int, z2: int) 
     return count
 
 
-def _requirement_count(table: list[int], n: int, req: tuple) -> int:
-    """Realizations of ``req``, read from the ``path_table`` of the
-    current availability.  A two-arc requirement counts its two paths
-    independently: each avoids the other's endpoints, not its arcs."""
+def _two_arc_count(table: list[int], n: int, req: tuple) -> int:
+    """Realizations of the two-arc requirement ``req``, read from the
+    ``path_table`` of the current availability.  Its two paths are
+    counted independently: each avoids the other's endpoints, not its
+    arcs.  (A single-arc requirement x -> y has ``_paths(table, n, y,
+    x)`` realizations, which ``_search`` reads inline.)"""
     x, y = req[1]
-    if req[0] == "s":
-        return _paths(table, n, y, x)
     u, w = req[2]
     c1 = _avoiding_paths(table, n, y, u, x, w)
     if c1 == 0:
@@ -344,61 +373,80 @@ def _requirement_placements(
             yield a1 + _path_arcs(p2), (x,) + p1 + p2[:-1]
 
 
-def _state_key(ps: _PathSystem, reqs: list[tuple]) -> int:
-    """One int for (available arcs, multiset of requirements).
+def _solve_requirements(ps: _PathSystem, reqs: list[tuple]) -> list[Cycle] | None:
+    """Realize all requirements with pairwise arc-disjoint paths.
 
-    From the low bits up: ``n`` in 7 bits, the ``n`` rows of ``n`` bits
-    each, then the sorted requirement codes, each nonzero and in
-    ``width`` bits, so distinct states never share a key.
+    At most one requirement may be two-arc (``"c"``), as in every shape
+    ``_decide`` builds.  The memo key of a state is ``ps.flat`` plus a
+    requirement code that ``_search`` lowers by one ``delta`` per
+    realized requirement.  From the low bits up, the key holds ``n`` in
+    7 bits and the count width ``w`` in 5 (``_KEY_TAG_BITS``), the
+    available arcs (``n * n`` bits), one ``w``-bit count per arc position
+    for the open single-arc requirements, then the code of the open
+    two-arc requirement, if any.  ``w`` fits the largest multiplicity
+    among ``reqs``, so the layout is fixed for the whole search and
+    distinct states never share a key.  The deciders' requirements are
+    distinct, so there ``w`` is 1; a state reached from roots of other
+    widths gets another key, which can only miss a hit.
     """
     n = ps.n
     n2 = n * n
-    width = 4 * n.bit_length() + 1
-    codes = []
+    multiplicity = Counter(req[1] for req in reqs if req[0] == "s")
+    if len(reqs) - multiplicity.total() > 1:
+        raise ValueError("at most one two-arc requirement")
+    w = max(multiplicity.values(), default=1).bit_length()
+    counts_at = _KEY_TAG_BITS + n2
+    pair_at = counts_at + n2 * w
+    code = n | w << 7
+    items = []
     for req in reqs:
         x, y = req[1]
         if req[0] == "s":
-            codes.append(1 + x * n + y)
+            delta = 1 << counts_at + w * (x * n + y)
+            items.append((req, y, x * n, delta))
         else:
-            u, w = req[2]
-            codes.append(1 + n2 + (x * n + y) * n2 + u * n + w)
-    key = 0
-    for code in sorted(codes):
-        key = key << width | code
-    for row in ps.avail:
-        key = key << n | row
-    return key << 7 | n
+            u, v = req[2]
+            delta = 1 + (x * n + y) * n2 + u * n + v << pair_at
+            items.append((req, -1, 0, delta))
+        code += delta
+    return _search(ps, items, code)
 
 
-def _solve_requirements(ps: _PathSystem, reqs: list[tuple]) -> list[Cycle] | None:
-    """Realize all requirements with pairwise arc-disjoint paths.
+def _search(ps: _PathSystem, items: list[tuple], code: int) -> list[Cycle] | None:
+    """One search node: ``items`` are the open requirements, each as
+    ``(req, y, x * n, delta)`` (``y`` is -1 for a two-arc one), and
+    ``ps.flat | code`` is the state's memo key.
 
     Picks the most constrained requirement first; a requirement with no
     realization left refutes the whole branch.  Refuted states go into
     the tracker's memo and are refuted again without a search.
     """
-    if not reqs:
+    if not items:
         return []
-    refuted = ps.tracker.refuted
-    key = _state_key(ps, reqs)
+    tracker = ps.tracker
+    refuted = tracker.refuted
+    key = ps.flat | code
     if key in refuted:
+        tracker.hits += 1
         return None
     table = ps.path_table()
     n = ps.n
+    fmask = ps.fmask
     best_i = -1
     best_count = None
-    for i, req in enumerate(reqs):
-        c = _requirement_count(table, n, req)
+    for i, (req, y, shift, _) in enumerate(items):
+        c = table[y] >> shift & fmask if y >= 0 else _two_arc_count(table, n, req)
         if c == 0:
             return None  # cheaper to count again than to store
         if best_count is None or c < best_count:
             best_i, best_count = i, c
-    req = reqs[best_i]
-    rest = reqs[:best_i] + reqs[best_i + 1 :]
+    req, _, _, delta = items[best_i]
+    rest = items[:best_i] + items[best_i + 1 :]
+    code -= delta
     for arcs, cyc in _requirement_placements(ps, req):
-        ps.tracker.tick()
+        tracker.tick()
         ps.place(arcs)
-        sub = _solve_requirements(ps, rest)
+        sub = _search(ps, rest, code)
         ps.unplace(arcs)
         if sub is not None:
             return [cyc] + sub
@@ -607,6 +655,8 @@ def max_cycle_packing(d: Digraph, budget: Budget | None = None) -> PackingReport
         nodes_explored=tracker.nodes,
         elapsed=time.perf_counter() - t0,
         stop_reason=stop_reason,
+        memo_entries=len(tracker.refuted),
+        memo_hits=tracker.hits,
     )
 
 

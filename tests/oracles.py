@@ -11,7 +11,9 @@ and its last cell is checked against ``tau_perm``.  ``in_rows_reference``
 and ``parse_graph_reference`` are the per-arc loops that the package's
 bit-matrix transpose and bulk parse replaced, and
 ``path_counts_reference`` is the per-source path-count sweep that the
-path-system search's packed path table replaced.
+path-system search's packed path table replaced.  ``state_key_reference``
+is the memo key that search rebuilt at every node before it kept one up
+to date, and ``state_key_fresh`` rebuilds today's key from scratch.
 """
 
 from __future__ import annotations
@@ -144,6 +146,55 @@ def path_counts_reference(
                 counts[low.bit_length() - 1] += c
                 m ^= low
     return counts
+
+
+def state_key_reference(ps, reqs: list[tuple]) -> int:
+    """One int for (available arcs of the path system ``ps``, multiset
+    of requirements ``reqs``).
+
+    From the low bits up: ``n`` in 7 bits, the ``n`` rows of ``n`` bits
+    each, then the sorted requirement codes, each nonzero and in
+    ``width`` bits, so distinct states never share a key.
+    """
+    n = ps.n
+    n2 = n * n
+    width = 4 * n.bit_length() + 1
+    codes = []
+    for req in reqs:
+        x, y = req[1]
+        if req[0] == "s":
+            codes.append(1 + x * n + y)
+        else:
+            u, w = req[2]
+            codes.append(1 + n2 + (x * n + y) * n2 + u * n + w)
+    key = 0
+    for code in sorted(codes):
+        key = key << width | code
+    for row in ps.avail:
+        key = key << n | row
+    return key << 7 | n
+
+
+def state_key_fresh(ps, reqs: list[tuple], width: int) -> int:
+    """The path-system search's memo key of (``ps.avail``, ``reqs``) with
+    requirement counts ``width`` bits wide, built arc by arc from the
+    rows: ``n`` and ``width`` in the low 12 bits, then one bit per
+    available arc, one count per single-arc requirement's arc position,
+    and the code of the two-arc requirement."""
+    n = ps.n
+    n2 = n * n
+    key = n | width << 7
+    for u, row in enumerate(ps.avail):
+        for v in bits(row):
+            key |= 1 << 12 + u * n + v
+    for req in reqs:
+        x, y = req[1]
+        if req[0] == "s":
+            key += 1 << 12 + n2 + width * (x * n + y)
+        else:
+            u, w = req[2]
+            key += 1 + (x * n + y) * n2 + u * n + w << 12 + n2 + n2 * width
+    return key
 
 
 def simple_cycle_masks(d: Digraph) -> list[int]:

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,13 +24,15 @@ from arcpack.packing import (
     PackingReport,
     _all_simple_paths,
     _decide,
+    _find_general,
     _avoiding_paths,
     _paths,
     _PathSystem,
-    _requirement_count,
     _requirement_placements,
+    _search,
     _solve_requirements,
     _Tracker,
+    _two_arc_count,
     count_triangles_through,
     cycle_arcs,
     greedy_short_cycles,
@@ -45,6 +48,8 @@ from oracles import (
     nu_set_packing,
     path_counts_reference,
     random_digraph,
+    state_key_fresh,
+    state_key_reference,
     triangle_count_through,
     triangles_through_brute,
 )
@@ -325,7 +330,7 @@ class TestPathSystem:
                     x, y, u, w = (rng.randrange(n) for _ in range(4))
                     c1 = path_counts_reference(ps.avail, ps.topo, y, (1 << x) | (1 << w))[u]
                     c2 = path_counts_reference(ps.avail, ps.topo, w, (1 << y) | (1 << u))[x]
-                    assert _requirement_count(table, n, ("c", (x, y), (u, w))) == c1 * c2
+                    assert _two_arc_count(table, n, ("c", (x, y), (u, w))) == c1 * c2
 
     def test_widest_field(self):
         # 2**(n-2) paths from first to last, the most a DAG has: the
@@ -340,11 +345,12 @@ class TestPathSystem:
 
     def test_place_unplace_roundtrip(self):
         ps = _dag_system(3, [(0, 1), (1, 2), (0, 2)])
-        before = list(ps.avail)
+        before = list(ps.avail), ps.flat
         ps.place([(0, 1), (1, 2)])
         assert _paths(ps.path_table(), 3, 0, 2) == 1  # only the direct arc remains
+        assert ps.flat == 1 << 12 + 2  # arc (0, 2) alone, above the 12 tag bits
         ps.unplace([(0, 1), (1, 2)])
-        assert ps.avail == before
+        assert (ps.avail, ps.flat) == before
 
     def test_forbid_blocks_interior_only(self):
         ps = _dag_system(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
@@ -361,14 +367,14 @@ class TestRequirements:
         ps = _dag_system(3, [(0, 1), (1, 2), (0, 2)])
         placements = list(_requirement_placements(ps, ("s", (2, 0))))
         assert sorted(cyc for _, cyc in placements) == [(2, 0), (2, 0, 1)]
-        assert _requirement_count(ps.path_table(), 3, ("s", (2, 0))) == 2
+        assert _paths(ps.path_table(), 3, 0, 2) == 2
 
     def test_composite_requirement_realizations(self):
         # cycle through both 4->0 and 3->2: 0~>3 avoiding {4,2}, then
         # 2~>4 avoiding the first path
         ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
         req = ("c", (4, 0), (3, 2))
-        assert _requirement_count(ps.path_table(), 5, req) == 2
+        assert _two_arc_count(ps.path_table(), 5, req) == 2
         before = list(ps.avail)
         placements = list(_requirement_placements(ps, req))
         assert ps.avail == before  # generator restores availability
@@ -383,7 +389,7 @@ class TestRequirements:
         # feedback arc forbids
         ps = _dag_system(4, [(0, 1), (1, 2)])
         req = ("c", (3, 0), (2, 1))
-        assert _requirement_count(ps.path_table(), 4, req) == 0
+        assert _two_arc_count(ps.path_table(), 4, req) == 0
         assert list(_requirement_placements(ps, req)) == []
 
     def test_solver_realizes_disjointly(self):
@@ -416,11 +422,17 @@ class TestRequirements:
         # so a refuted search must hand back the arcs it placed.
         fr = min_feedback_arc_set(paper_T7)
         ps = _dag_system(7, [a for a in paper_T7.arcs() if a not in fr.arcs])
-        before = list(ps.avail)
+        before = list(ps.avail), ps.flat
         reqs = [("s", f) for f in sorted(fr.arcs)]
         assert _solve_requirements(ps, reqs) is None  # nu < tau
         assert ps.tracker.nodes > 0  # arcs were placed on the way
-        assert ps.avail == before
+        assert (ps.avail, ps.flat) == before
+
+    def test_one_two_arc_requirement_at_most(self):
+        ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
+        req = ("c", (4, 0), (3, 2))
+        with pytest.raises(ValueError, match="at most one two-arc requirement"):
+            _solve_requirements(ps, [req, req])
 
 
 class TestDeciders:
@@ -478,6 +490,7 @@ class TestGoldenPackings:
         rep = max_cycle_packing(random_tournament(12, 30))
         assert rep.value == 14
         assert rep.nodes_explored <= 4036
+        assert (rep.memo_entries, rep.memo_hits) == (1596, 466)
 
     @pytest.mark.parametrize("cap", [0, 3])
     def test_memo_cap_keeps_answers(self, monkeypatch, cap):
@@ -488,6 +501,7 @@ class TestGoldenPackings:
             if cap == 0:
                 # no memo: the shared sweeps alone keep the search as it was
                 assert rep.nodes_explored == case["nodes_without_memo"]
+                assert (rep.memo_entries, rep.memo_hits) == (0, 0)
 
     def test_memo_stays_under_cap(self, monkeypatch):
         monkeypatch.setattr(packing, "MEMO_MAX_ENTRIES", 3)
@@ -496,6 +510,137 @@ class TestGoldenPackings:
         tracker = _Tracker(Budget())
         assert len(_decide(t, fr.arcs, 0, tracker)) == fr.tau
         assert len(tracker.refuted) == 3  # about 1600 without the cap
+
+
+def _record_keys(monkeypatch, width):
+    """Record every search node as (kept key, key rebuilt from scratch
+    with count width ``width``, reference key, whether the memo held it)."""
+    seen = []
+
+    def recording(ps, items, code):
+        reqs = [item[0] for item in items]
+        kept = ps.flat | code
+        seen.append(
+            (
+                kept,
+                state_key_fresh(ps, reqs, width),
+                state_key_reference(ps, reqs),
+                kept in ps.tracker.refuted,
+            )
+        )
+        return _search(ps, items, code)
+
+    monkeypatch.setattr(packing, "_search", recording)
+    return seen
+
+
+def _assert_keys_agree(seen):
+    """Each kept key equals its rebuild, and two visited states share a
+    kept key exactly when they share a reference key."""
+    assert seen
+    reference_of, kept_of = {}, {}
+    for kept, fresh, reference, _ in seen:
+        assert kept == fresh
+        assert reference_of.setdefault(kept, reference) == reference
+        assert kept_of.setdefault(reference, kept) == kept
+
+
+class TestMemoKey:
+    """The search keeps its memo key up to date per placed arc and per
+    realized requirement.  At every visited node the key must equal a
+    rebuild from the availability rows, and it must tell states apart
+    exactly as the key it replaced (``oracles.state_key_reference``)."""
+
+    def test_golden_graphs(self, monkeypatch):
+        hits = 0
+        for case in GOLDEN:
+            seen = _record_keys(monkeypatch, 1)  # decider requirements are distinct
+            rep = max_cycle_packing(golden_graph(case))
+            _same_as_golden(rep, case)
+            assert rep.nodes_explored == case["nodes"]
+            _assert_keys_agree(seen)
+            assert rep.memo_hits == sum(hit for *_, hit in seen)
+            hits += rep.memo_hits
+        assert hits > 0  # some states were visited twice
+
+    def test_random_systems_with_duplicate_requirements(self, monkeypatch):
+        rng = random.Random(41)
+        widths = Counter()
+        hits = 0
+        for _ in range(80):
+            n = rng.randrange(3, 8)
+            order = rng.sample(range(n), n)
+            arcs = [(order[i], order[j]) for j in range(n) for i in range(j) if rng.random() < 0.7]
+            ps = _dag_system(n, arcs)
+            # x -> y closes a cycle when y comes before x
+            backward = [(order[j], order[i]) for j in range(n) for i in range(j)]
+            reqs = [("s", rng.choice(backward)) for _ in range(rng.randrange(1, 5))]
+            reqs += rng.choices(reqs, k=rng.randrange(4))
+            width = max(Counter(req[1] for req in reqs).values()).bit_length()
+            widths[width] += 1
+            seen = _record_keys(monkeypatch, width)
+            _solve_requirements(ps, reqs)
+            _assert_keys_agree(seen)
+            hits += ps.tracker.hits
+        assert set(widths) == {1, 2, 3} and hits > 0
+
+    def test_two_arc_requirement_against_its_two_single_arcs(self, monkeypatch):
+        # [c(f, g)] and [s(f), s(g)] at the same availability are
+        # different states: one cycle through both arcs, or two cycles
+        ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
+        f, g = (4, 0), (3, 2)
+        seen = _record_keys(monkeypatch, 1)
+        assert _solve_requirements(ps, [("s", f), ("s", g)]) is None  # no 0 ~> 4 path
+        first = len(seen)
+        assert len(_solve_requirements(ps, [("c", f, g)])) == 1
+        _assert_keys_agree(seen)
+        single, pair = seen[0], seen[first]
+        assert single[0] != pair[0] and single[2] != pair[2]
+
+    def test_slack_one_shapes_with_a_two_arc_requirement(self, monkeypatch, paper_T7):
+        seen = _record_keys(monkeypatch, 1)
+        d = _two_T7_copies(paper_T7)
+        fr = min_feedback_arc_set(d)
+        tracker = _Tracker(Budget())
+        assert _decide(d, fr.arcs, 1, tracker) is None  # every shape refuted
+        _assert_keys_agree(seen)
+        pair_at = 12 + 2 * d.n * d.n
+        assert any(kept >> pair_at for kept, *_ in seen)  # two-arc shapes visited
+        assert tracker.hits > 0
+
+
+def _two_T7_copies(paper_T7):
+    """paper-T7 on 0..6 and again on 7..13, every arc from the first copy
+    to the second: tau 10 and nu 8, one below tau - 1."""
+    n = paper_T7.n
+    rows = [paper_T7.out[u] | ((1 << n) - 1) << n for u in range(n)]
+    return Digraph(2 * n, rows + [paper_T7.out[u] << n for u in range(n)])
+
+
+class TestMemoAcrossFeedbackSets:
+    def test_memo_shared_with_the_general_search(self, monkeypatch, paper_T7):
+        # The general search decides on a reduced graph with another
+        # feedback arc set; the memo the deciders filled on the whole
+        # graph must neither answer for it nor change its search.
+        d = _two_T7_copies(paper_T7)
+        fr = min_feedback_arc_set(d)
+        assert fr.tau == 10
+        tracker = _Tracker(Budget())
+        assert _decide(d, fr.arcs, 0, tracker) is None
+        assert _decide(d, fr.arcs, 1, tracker) is None
+        assert (len(tracker.refuted), tracker.nodes) == (336, 510)
+        fresh = _find_general(d, 8, _Tracker(Budget()))
+        decided = []
+
+        def recording(g, fas, slack, tr):
+            decided.append(len(fas))
+            return _decide(g, fas, slack, tr)
+
+        monkeypatch.setattr(packing, "_decide", recording)
+        sol = _find_general(d, 8, tracker)
+        assert sol == fresh and len(sol) == 8 and is_valid_packing(d, sol)
+        assert (tracker.nodes, len(tracker.refuted)) == (510 + 49, 344)
+        assert decided == [6]
 
 
 class TestTriangles:
