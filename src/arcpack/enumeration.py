@@ -278,13 +278,3 @@ PREDICATES: dict[str, Callable[[Digraph], bool]] = {
     "mindeg_triangles_fail": mindeg_triangles_fail,
     "second_neighborhood_fail": second_neighborhood_fail,
 }
-
-
-def search_counterexamples(
-    n: int, predicate: str | Callable[[Digraph], bool]
-) -> tuple[CanonicalCode, ...]:
-    """Codes of all order-``n`` classes satisfying the predicate."""
-    fn = PREDICATES[predicate] if isinstance(predicate, str) else predicate
-    return tuple(
-        canonical_code(t) for t in enumerate_tournaments(n) if fn(t)
-    )

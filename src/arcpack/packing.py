@@ -34,13 +34,16 @@ The path-system search is exhaustive, so its cost is what it visits:
   between two vertices, so no field overflows.  A single-arc
   requirement reads its count from one field of that table, a two-arc
   one by inclusion-exclusion over the vertices its paths must avoid.
+  The walk over the realizations it branches on reads the same table:
+  a path to ``t`` enters only vertices whose ``t`` field is nonzero.
 * Per solve it remembers the states it has refuted.  Whether a state is
-  feasible depends only on the available arcs and on the multiset of
-  open requirements, so one int packing both is a complete key.  The
-  key is kept up to date rather than rebuilt: reserving or releasing an
-  arc flips its bit, and realizing a requirement subtracts its fixed
-  part of the requirement code (``_solve_requirements``), so a node
-  costs one int ``|`` for its key.  The memo lives on the solve's
+  feasible depends only on the available arcs and on the set of open
+  requirements, so one int holding a bit per available arc, a bit per
+  open single-arc requirement and the code of the open two-arc one is a
+  complete key (``_solve_requirements``).  The key is kept up to date
+  rather than rebuilt: reserving or releasing an arc flips its bit, and
+  realizing a requirement clears its part, so a node costs one int
+  ``|`` for its key.  The memo lives on the solve's
   ``_Tracker``, which lets every shape of every ``_decide`` call, those
   under the general branch-and-bound included, share it.  Only
   refutations are stored, so a hit prunes a branch that would fail
@@ -58,7 +61,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Iterator
@@ -73,9 +75,6 @@ BRUTEFORCE_MAX_VERTICES = 7
 # Refuted path-system states kept per solve; a key of a 16-vertex
 # tournament's search takes about 90 bytes, about 160 with its set slot.
 MEMO_MAX_ENTRIES = 1 << 17
-
-# Low bits of a memo key: the vertex count and the requirement count width.
-_KEY_TAG_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,9 @@ class PackingReport:
 
 class _Tracker:
     """Counts search nodes, enforces the budget, and holds the solve's
-    memo of refuted path-system states."""
+    memo of refuted path-system states.  A memo key does not record the
+    vertex count, so all path systems of one solve have the same ``n``:
+    ``_cyclic_restriction`` and ``without_arcs`` keep every vertex."""
 
     __slots__ = ("nodes", "max_nodes", "deadline", "polls", "refuted", "hits")
 
@@ -215,24 +216,20 @@ class _PathSystem:
     """Mutable availability of the arcs of a DAG plus path queries.
 
     ``avail`` holds one row of available out-neighbors per vertex, and
-    ``flat`` the same arcs as one int, arc (u, v) at bit
-    ``_KEY_TAG_BITS + u * n + v``: the low part of every memo key, kept
-    up to date one bit per reserved or released arc.  ``plan`` lists the
-    vertices in reverse topological order, each with its field's unit;
-    ``succ`` maps each row value seen so far to its out-neighbors.
+    ``flat`` the same arcs as one int, arc (u, v) at bit ``u * n + v``:
+    the low part of every memo key, kept up to date one bit per reserved
+    or released arc.  ``plan`` lists the vertices in reverse topological
+    order, each with its field's unit; ``succ`` maps each row value seen
+    so far to its out-neighbors.
     """
 
-    __slots__ = ("n", "fmask", "avail", "flat", "topo", "rank", "plan", "succ", "tracker")
+    __slots__ = ("n", "fmask", "avail", "flat", "plan", "succ", "tracker")
 
     def __init__(self, n: int, avail_rows: list[int], topo: tuple[int, ...], tracker: _Tracker):
         self.n = n
         self.fmask = (1 << n) - 1
         self.avail = avail_rows
-        self.flat = sum(row << _KEY_TAG_BITS + u * n for u, row in enumerate(avail_rows))
-        self.topo = topo
-        self.rank = [0] * n
-        for i, v in enumerate(topo):
-            self.rank[v] = i
+        self.flat = sum(row << u * n for u, row in enumerate(avail_rows))
         self.plan = tuple((v, 1 << v * n) for v in reversed(topo))
         self.succ: dict[int, tuple[int, ...]] = {}
         self.tracker = tracker
@@ -245,7 +242,7 @@ class _PathSystem:
         flat = self.flat
         for u, v in arcs:
             avail[u] ^= 1 << v
-            flat ^= 1 << _KEY_TAG_BITS + u * n + v
+            flat ^= 1 << u * n + v
         self.flat = flat
 
     unplace = place
@@ -274,18 +271,25 @@ class _PathSystem:
             table[v] = acc
         return table
 
-    def iter_paths(self, src: int, dst: int, forbid: int = 0) -> Iterator[tuple[int, ...]]:
-        """All src->dst paths on available arcs, lexicographic order.
+    def iter_paths(
+        self, table: list[int], src: int, dst: int, forbid: int = 0
+    ) -> Iterator[tuple[int, ...]]:
+        """All src->dst paths on available arcs whose interior avoids
+        ``forbid``, in lexicographic order.
 
         The graph is acyclic, so paths are automatically vertex-simple.
-        The walk only enters vertices that still reach ``dst``.
+        The walk enters only vertices whose ``dst`` field is nonzero in
+        ``table``, this availability's ``path_table``: the vertices that
+        reach ``dst``, though maybe only through ``forbid``.
         """
-        forbid &= ~(1 << src) & ~(1 << dst)
         avail = self.avail
-        alive = 1 << dst
-        for v in reversed(self.topo[self.rank[src] : self.rank[dst]]):
-            if avail[v] & alive and not forbid >> v & 1:
+        shift = dst * self.n
+        fmask = self.fmask
+        alive = 0
+        for v, counts in enumerate(table):
+            if counts >> shift & fmask:
                 alive |= 1 << v
+        alive &= ~forbid | 1 << dst
         path = [src]
 
         def rec(v: int) -> Iterator[tuple[int, ...]]:
@@ -297,19 +301,12 @@ class _PathSystem:
                 yield from rec(w)
                 path.pop()
 
-        if alive >> src & 1:
+        if table[src] >> shift & fmask:
             yield from rec(src)
 
 
 def _path_arcs(path: tuple[int, ...]) -> list[Arc]:
     return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 # A requirement is one cycle to be built:
@@ -352,63 +349,57 @@ def _two_arc_count(table: list[int], n: int, req: tuple) -> int:
 
 
 def _requirement_placements(
-    ps: _PathSystem, req: tuple
+    ps: _PathSystem, table: list[int], req: tuple
 ) -> Iterator[tuple[list[Arc], Cycle]]:
     """Yield (arcs to reserve, finished cycle) for every way to realize
-    the requirement on currently available arcs."""
+    the requirement on the available arcs, whose ``path_table`` is
+    ``table``.  A two-arc requirement's second path avoids every vertex
+    of its first, so both walks run on one availability."""
+    x, y = req[1]
     if req[0] == "s":
-        x, y = req[1]
-        for path in ps.iter_paths(y, x):
+        for path in ps.iter_paths(table, y, x):
             yield _path_arcs(path), (x,) + path[:-1]
         return
-    x, y = req[1]
     u, w = req[2]
-    for p1 in ps.iter_paths(y, u, forbid=(1 << x) | (1 << w)):
+    for p1 in ps.iter_paths(table, y, u, forbid=(1 << x) | (1 << w)):
         a1 = _path_arcs(p1)
-        ps.place(a1)
-        # materialize so the caller sees a1 unplaced again
-        second = list(ps.iter_paths(w, x, forbid=_mask(p1)))
-        ps.unplace(a1)
-        for p2 in second:
+        for p2 in ps.iter_paths(table, w, x, forbid=sum(1 << v for v in p1)):
             yield a1 + _path_arcs(p2), (x,) + p1 + p2[:-1]
 
 
 def _solve_requirements(ps: _PathSystem, reqs: list[tuple]) -> list[Cycle] | None:
     """Realize all requirements with pairwise arc-disjoint paths.
 
-    At most one requirement may be two-arc (``"c"``), as in every shape
-    ``_decide`` builds.  The memo key of a state is ``ps.flat`` plus a
-    requirement code that ``_search`` lowers by one ``delta`` per
-    realized requirement.  From the low bits up, the key holds ``n`` in
-    7 bits and the count width ``w`` in 5 (``_KEY_TAG_BITS``), the
-    available arcs (``n * n`` bits), one ``w``-bit count per arc position
-    for the open single-arc requirements, then the code of the open
-    two-arc requirement, if any.  ``w`` fits the largest multiplicity
-    among ``reqs``, so the layout is fixed for the whole search and
-    distinct states never share a key.  The deciders' requirements are
-    distinct, so there ``w`` is 1; a state reached from roots of other
-    widths gets another key, which can only miss a hit.
+    The requirements must be distinct, and at most one may be two-arc
+    (``"c"``), with arcs that share no tail and no head: the shapes
+    ``_decide`` builds.  The memo key of a state is ``ps.flat | code``,
+    and ``_search`` clears one requirement's ``delta`` from ``code`` per
+    realized requirement.  Bit ``u * n + v`` is the available arc
+    (u, v), bit ``n * n + x * n + y`` the open single-arc requirement
+    x -> y, and the code of the open two-arc requirement, if any, sits
+    above bit ``2 * n * n``.  So distinct states never share a key.
     """
     n = ps.n
     n2 = n * n
-    multiplicity = Counter(req[1] for req in reqs if req[0] == "s")
-    if len(reqs) - multiplicity.total() > 1:
+    if len(set(reqs)) < len(reqs):
+        raise ValueError("requirements must be distinct")
+    pairs = [req for req in reqs if req[0] == "c"]
+    if len(pairs) > 1:
         raise ValueError("at most one two-arc requirement")
-    w = max(multiplicity.values(), default=1).bit_length()
-    counts_at = _KEY_TAG_BITS + n2
-    pair_at = counts_at + n2 * w
-    code = n | w << 7
+    if any(f[0] == g[0] or f[1] == g[1] for _, f, g in pairs):
+        raise ValueError("a two-arc requirement's arcs share a tail or a head")
+    code = 0
     items = []
     for req in reqs:
         x, y = req[1]
         if req[0] == "s":
-            delta = 1 << counts_at + w * (x * n + y)
+            delta = 1 << n2 + x * n + y
             items.append((req, y, x * n, delta))
         else:
             u, v = req[2]
-            delta = 1 + (x * n + y) * n2 + u * n + v << pair_at
+            delta = 1 + (x * n + y) * n2 + u * n + v << 2 * n2
             items.append((req, -1, 0, delta))
-        code += delta
+        code |= delta
     return _search(ps, items, code)
 
 
@@ -443,7 +434,7 @@ def _search(ps: _PathSystem, items: list[tuple], code: int) -> list[Cycle] | Non
     req, _, _, delta = items[best_i]
     rest = items[:best_i] + items[best_i + 1 :]
     code -= delta
-    for arcs, cyc in _requirement_placements(ps, req):
+    for arcs, cyc in _requirement_placements(ps, table, req):
         tracker.tick()
         ps.place(arcs)
         sub = _search(ps, rest, code)

@@ -24,7 +24,7 @@ from array import array
 from itertools import combinations, permutations
 from typing import Iterator
 
-from arcpack.digraph import Digraph, bits
+from arcpack.digraph import Digraph, bits, topological_order
 from arcpack.instances import random_oriented, random_tournament
 
 
@@ -127,13 +127,12 @@ def subset_costs_reference(d: Digraph) -> array:
     return f
 
 
-def path_counts_reference(
-    rows: list[int], topo: tuple[int, ...], src: int, forbid: int = 0
-) -> list[int]:
+def path_counts_reference(rows: list[int], src: int, forbid: int = 0) -> list[int]:
     """For every vertex t, the number of directed src->t paths on the
     arcs of the DAG with out-rows ``rows`` whose interior avoids the
     vertices of ``forbid``: one sweep in topological order from ``src``.
     Endpoints are always allowed, and ``counts[src]`` is 1."""
+    topo = topological_order(Digraph(len(rows), list(rows)))
     counts = [0] * len(rows)
     counts[src] = 1
     blocked = forbid & ~(1 << src)
@@ -175,25 +174,24 @@ def state_key_reference(ps, reqs: list[tuple]) -> int:
     return key << 7 | n
 
 
-def state_key_fresh(ps, reqs: list[tuple], width: int) -> int:
-    """The path-system search's memo key of (``ps.avail``, ``reqs``) with
-    requirement counts ``width`` bits wide, built arc by arc from the
-    rows: ``n`` and ``width`` in the low 12 bits, then one bit per
-    available arc, one count per single-arc requirement's arc position,
-    and the code of the two-arc requirement."""
+def state_key_fresh(ps, reqs: list[tuple]) -> int:
+    """The path-system search's memo key of (``ps.avail``, distinct
+    ``reqs``), built arc by arc from the rows: one bit per available arc,
+    then one bit per single-arc requirement's arc position, then the code
+    of the two-arc requirement."""
     n = ps.n
     n2 = n * n
-    key = n | width << 7
+    key = 0
     for u, row in enumerate(ps.avail):
         for v in bits(row):
-            key |= 1 << 12 + u * n + v
+            key |= 1 << u * n + v
     for req in reqs:
         x, y = req[1]
         if req[0] == "s":
-            key += 1 << 12 + n2 + width * (x * n + y)
+            key |= 1 << n2 + x * n + y
         else:
             u, w = req[2]
-            key += 1 + (x * n + y) * n2 + u * n + w << 12 + n2 + n2 * width
+            key |= 1 + (x * n + y) * n2 + u * n + w << 2 * n2
     return key
 
 

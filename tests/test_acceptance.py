@@ -20,8 +20,9 @@ from arcpack.claims import verify_paper
 from arcpack.digraph import is_eulerian
 from arcpack.enumeration import (
     canonical_code,
+    enumerate_tournaments,
     labeled_count_identity_holds,
-    search_counterexamples,
+    nu_lt_tau,
     verify_nu_eq_tau_upto,
 )
 from arcpack.fas import (
@@ -197,6 +198,6 @@ def test_criterion_09_enumeration_identity_and_gap_search(paper_T7):
     with criterion("criterion-9", 600):
         for n in range(1, 8):
             assert labeled_count_identity_holds(n)
-        hits = search_counterexamples(7, "nu_lt_tau")
+        hits = [canonical_code(t) for t in enumerate_tournaments(7) if nu_lt_tau(t)]
         assert len(hits) >= 1
         assert canonical_code(paper_T7) in hits

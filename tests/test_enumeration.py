@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcpack.cli import main
 from arcpack.digraph import Digraph
 from arcpack.enumeration import (
     PREDICATES,
@@ -15,7 +16,6 @@ from arcpack.enumeration import (
     class_codes,
     enumerate_tournaments,
     labeled_count_identity_holds,
-    search_counterexamples,
     verify_nu_eq_tau_upto,
 )
 from arcpack.fas import feedback_arc_set_size
@@ -158,25 +158,25 @@ class TestSweeps:
         with pytest.raises(ValueError, match="capped at order 6"):
             verify_nu_eq_tau_upto(7)
 
-    def test_gap_search_at_order_7(self, paper_T7):
-        found = search_counterexamples(7, "nu_lt_tau")
+    def test_gap_search_at_order_7(self, paper_T7, capsys):
+        assert main(["enum", "7", "--predicate", "nu_lt_tau"]) == 0
+        *found, summary = capsys.readouterr().out.splitlines()
+        assert summary == "matched=2 classes=456"
         assert len(found) == 2
-        assert canonical_code(paper_T7) in found
+        assert canonical_code(paper_T7).hex() in found
 
     def test_gap_search_empty_below_7(self):
-        assert search_counterexamples(6, "nu_lt_tau") == ()
+        assert not any(map(PREDICATES["nu_lt_tau"], enumerate_tournaments(6)))
 
     def test_other_predicates_empty_at_7(self):
-        assert search_counterexamples(7, "mindeg_triangles_fail") == ()
-        assert search_counterexamples(7, "second_neighborhood_fail") == ()
+        for name in ("mindeg_triangles_fail", "second_neighborhood_fail"):
+            assert not any(map(PREDICATES[name], enumerate_tournaments(7)))
 
-    def test_callable_predicate(self):
-        odd = search_counterexamples(3, lambda t: t.arc_count() % 2 == 1)
-        assert len(odd) == 2  # both order-3 classes have 3 arcs
-
-    def test_unknown_predicate(self):
-        with pytest.raises(KeyError):
-            search_counterexamples(5, "no_such_predicate")
+    def test_unknown_predicate(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enum", "5", "--predicate", "no_such_predicate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'no_such_predicate'" in capsys.readouterr().err
 
     def test_predicate_registry(self):
         assert set(PREDICATES) == {

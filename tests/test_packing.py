@@ -280,25 +280,26 @@ def _dag_system(n, arcs):
     return _PathSystem(n, list(d.out), topo, _Tracker(Budget()))
 
 
+def _random_dag_systems(rng):
+    """Path systems of 80 random DAGs on 2..7 vertices, arcs low to high."""
+    for _ in range(80):
+        n = rng.randrange(2, 8)
+        arcs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        if arcs:
+            yield _dag_system(n, arcs)
+
+
 class TestPathSystem:
     def test_count_matches_enumeration(self):
         rng = random.Random(13)
-        for _ in range(80):
-            n = rng.randrange(2, 8)
-            arcs = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.5
-            ]
-            if not arcs:
-                continue
-            ps = _dag_system(n, arcs)
+        for ps in _random_dag_systems(rng):
+            n = ps.n
             src = rng.randrange(n)
             forbid = rng.getrandbits(n)
-            counts = path_counts_reference(ps.avail, ps.topo, src, forbid)
+            counts = path_counts_reference(ps.avail, src, forbid)
+            table = ps.path_table()
             for dst in range(n):
-                paths = list(ps.iter_paths(src, dst, forbid))
+                paths = list(ps.iter_paths(table, src, dst, forbid))
                 assert counts[dst] == len(paths)
                 assert len(set(paths)) == len(paths)
                 assert paths == sorted(paths)
@@ -316,20 +317,20 @@ class TestPathSystem:
                 ps.place(a for a in arcs if rng.random() < 0.2)
                 table = ps.path_table()
                 for a in range(n):
-                    counts = path_counts_reference(ps.avail, ps.topo, a)
+                    counts = path_counts_reference(ps.avail, a)
                     assert [_paths(table, n, a, b) for b in range(n)] == counts
                     # every overlap of endpoints and avoided vertices
                     for z1 in range(n):
                         for z2 in range(z1, n):
                             forbid = (1 << z1) | (1 << z2)
-                            counts = path_counts_reference(ps.avail, ps.topo, a, forbid)
+                            counts = path_counts_reference(ps.avail, a, forbid)
                             for b in range(n):
                                 assert _avoiding_paths(table, n, a, b, z1, z2) == counts[b]
                                 assert _avoiding_paths(table, n, a, b, z2, z1) == counts[b]
                 for _ in range(40):
                     x, y, u, w = (rng.randrange(n) for _ in range(4))
-                    c1 = path_counts_reference(ps.avail, ps.topo, y, (1 << x) | (1 << w))[u]
-                    c2 = path_counts_reference(ps.avail, ps.topo, w, (1 << y) | (1 << u))[x]
+                    c1 = path_counts_reference(ps.avail, y, (1 << x) | (1 << w))[u]
+                    c2 = path_counts_reference(ps.avail, w, (1 << y) | (1 << u))[x]
                     assert _two_arc_count(table, n, ("c", (x, y), (u, w))) == c1 * c2
 
     def test_widest_field(self):
@@ -348,7 +349,7 @@ class TestPathSystem:
         before = list(ps.avail), ps.flat
         ps.place([(0, 1), (1, 2)])
         assert _paths(ps.path_table(), 3, 0, 2) == 1  # only the direct arc remains
-        assert ps.flat == 1 << 12 + 2  # arc (0, 2) alone, above the 12 tag bits
+        assert ps.flat == 1 << 2  # arc (0, 2) alone, at bit 0 * 3 + 2
         ps.unplace([(0, 1), (1, 2)])
         assert (ps.avail, ps.flat) == before
 
@@ -365,7 +366,7 @@ class TestPathSystem:
 class TestRequirements:
     def test_single_requirement_realizations(self):
         ps = _dag_system(3, [(0, 1), (1, 2), (0, 2)])
-        placements = list(_requirement_placements(ps, ("s", (2, 0))))
+        placements = list(_requirement_placements(ps, ps.path_table(), ("s", (2, 0))))
         assert sorted(cyc for _, cyc in placements) == [(2, 0), (2, 0, 1)]
         assert _paths(ps.path_table(), 3, 0, 2) == 2
 
@@ -376,8 +377,8 @@ class TestRequirements:
         req = ("c", (4, 0), (3, 2))
         assert _two_arc_count(ps.path_table(), 5, req) == 2
         before = list(ps.avail)
-        placements = list(_requirement_placements(ps, req))
-        assert ps.avail == before  # generator restores availability
+        placements = list(_requirement_placements(ps, ps.path_table(), req))
+        assert ps.avail == before  # the walks reserve nothing
         got = sorted((cyc, tuple(sorted(arcs))) for arcs, cyc in placements)
         assert got == [
             ((4, 0, 1, 3, 2), ((0, 1), (1, 3), (2, 4))),
@@ -390,7 +391,35 @@ class TestRequirements:
         ps = _dag_system(4, [(0, 1), (1, 2)])
         req = ("c", (3, 0), (2, 1))
         assert _two_arc_count(ps.path_table(), 4, req) == 0
-        assert list(_requirement_placements(ps, req)) == []
+        assert list(_requirement_placements(ps, ps.path_table(), req)) == []
+
+    def test_two_arc_placements_match_counts(self):
+        # A cycle through x -> y and u -> w: for every first path
+        # p1 = y ~> u avoiding {x, w}, one placement per second path
+        # w ~> x avoiding every vertex of p1, and no arc used twice.
+        rng = random.Random(13)
+        placed = 0
+        for ps in _random_dag_systems(rng):
+            n = ps.n
+            table = ps.path_table()
+            for _ in range(20):
+                x, y, u, w = (rng.randrange(n) for _ in range(4))
+                if x == y or u == w or x == u or y == w:
+                    continue
+                per_first = Counter()
+                for arcs, cyc in _requirement_placements(ps, table, ("c", (x, y), (u, w))):
+                    assert len(set(arcs)) == len(arcs)
+                    assert all(ps.avail[a] >> b & 1 for a, b in arcs)
+                    per_first[cyc[1 : cyc.index(u) + 1]] += 1
+                forbid = (1 << x) | (1 << w)
+                firsts = list(ps.iter_paths(table, y, u, forbid))
+                assert len(firsts) == path_counts_reference(ps.avail, y, forbid)[u]
+                assert set(per_first) <= set(firsts)
+                for p1 in firsts:
+                    mask = sum(1 << v for v in p1)
+                    assert per_first[p1] == path_counts_reference(ps.avail, w, mask)[x]
+                placed += sum(per_first.values())
+        assert placed > 0
 
     def test_solver_realizes_disjointly(self):
         # two requirements share vertex 1 but must split its arcs
@@ -408,12 +437,12 @@ class TestRequirements:
         assert len(sol) == 2
 
     def test_solver_refutes(self):
-        # both requirements need the single arc 0->1
-        ps = _dag_system(3, [(0, 1)])
-        reqs = [("s", (1, 0)), ("s", (1, 0))]
+        # both requirements need the arc 0->1
+        ps = _dag_system(3, [(0, 1), (1, 2)])
+        reqs = [("s", (1, 0)), ("s", (2, 0))]
         assert _solve_requirements(ps, reqs) is None
-        # the refutation is remembered, but one copy alone is feasible:
-        # the memo key counts duplicates
+        # the refutation is remembered, but the first alone is feasible:
+        # the memo key tells the two states apart
         assert len(ps.tracker.refuted) == 1
         assert _solve_requirements(ps, reqs[:1]) == [(1, 0)]
 
@@ -430,9 +459,24 @@ class TestRequirements:
 
     def test_one_two_arc_requirement_at_most(self):
         ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
-        req = ("c", (4, 0), (3, 2))
+        reqs = [("c", (4, 0), (3, 2)), ("c", (3, 2), (4, 0))]
         with pytest.raises(ValueError, match="at most one two-arc requirement"):
-            _solve_requirements(ps, [req, req])
+            _solve_requirements(ps, reqs)
+
+    @pytest.mark.parametrize(
+        "reqs,message",
+        [
+            ([("s", (3, 0)), ("s", (3, 0))], "must be distinct"),
+            ([("c", (4, 0), (3, 2))] * 2, "must be distinct"),
+            ([("c", (4, 0), (4, 2))], "share a tail or a head"),
+            ([("c", (4, 0), (3, 0))], "share a tail or a head"),
+        ],
+    )
+    def test_repeated_or_clashing_requirements_raise(self, reqs, message):
+        ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
+        with pytest.raises(ValueError, match=message):
+            _solve_requirements(ps, reqs)
+        assert ps.tracker.nodes == 0
 
 
 class TestDeciders:
@@ -512,9 +556,9 @@ class TestGoldenPackings:
         assert len(tracker.refuted) == 3  # about 1600 without the cap
 
 
-def _record_keys(monkeypatch, width):
-    """Record every search node as (kept key, key rebuilt from scratch
-    with count width ``width``, reference key, whether the memo held it)."""
+def _record_keys(monkeypatch):
+    """Record every search node as (kept key, key rebuilt from scratch,
+    reference key, whether the memo held it)."""
     seen = []
 
     def recording(ps, items, code):
@@ -523,7 +567,7 @@ def _record_keys(monkeypatch, width):
         seen.append(
             (
                 kept,
-                state_key_fresh(ps, reqs, width),
+                state_key_fresh(ps, reqs),
                 state_key_reference(ps, reqs),
                 kept in ps.tracker.refuted,
             )
@@ -554,7 +598,7 @@ class TestMemoKey:
     def test_golden_graphs(self, monkeypatch):
         hits = 0
         for case in GOLDEN:
-            seen = _record_keys(monkeypatch, 1)  # decider requirements are distinct
+            seen = _record_keys(monkeypatch)
             rep = max_cycle_packing(golden_graph(case))
             _same_as_golden(rep, case)
             assert rep.nodes_explored == case["nodes"]
@@ -563,33 +607,37 @@ class TestMemoKey:
             hits += rep.memo_hits
         assert hits > 0  # some states were visited twice
 
-    def test_random_systems_with_duplicate_requirements(self, monkeypatch):
+    def test_random_systems_with_distinct_requirements(self, monkeypatch):
+        # Decider-like systems: a random tournament minus a minimum FAS,
+        # with all of the FAS or all but one arc as single-arc
+        # requirements, half of them with two merged into a two-arc one.
         rng = random.Random(41)
-        widths = Counter()
-        hits = 0
+        hits = pairs = 0
         for _ in range(80):
-            n = rng.randrange(3, 8)
-            order = rng.sample(range(n), n)
-            arcs = [(order[i], order[j]) for j in range(n) for i in range(j) if rng.random() < 0.7]
-            ps = _dag_system(n, arcs)
-            # x -> y closes a cycle when y comes before x
-            backward = [(order[j], order[i]) for j in range(n) for i in range(j)]
-            reqs = [("s", rng.choice(backward)) for _ in range(rng.randrange(1, 5))]
-            reqs += rng.choices(reqs, k=rng.randrange(4))
-            width = max(Counter(req[1] for req in reqs).values()).bit_length()
-            widths[width] += 1
-            seen = _record_keys(monkeypatch, width)
+            n = rng.randrange(7, 11)
+            d = random_tournament(n, rng.randrange(1 << 32))
+            fas = sorted(min_feedback_arc_set(d).arcs)
+            if len(fas) < 2:
+                continue
+            ps = _dag_system(n, [a for a in d.arcs() if a not in fas])
+            chosen = rng.sample(fas, len(fas) - rng.randrange(2))
+            reqs = [("s", f) for f in chosen]
+            f, g = rng.sample(fas, 2)
+            if rng.random() < 0.5 and f[0] != g[0] and f[1] != g[1]:
+                reqs = [("c", f, g)] + [("s", h) for h in chosen if h != f and h != g]
+                pairs += 1
+            seen = _record_keys(monkeypatch)
             _solve_requirements(ps, reqs)
             _assert_keys_agree(seen)
             hits += ps.tracker.hits
-        assert set(widths) == {1, 2, 3} and hits > 0
+        assert hits > 0 and pairs > 0
 
     def test_two_arc_requirement_against_its_two_single_arcs(self, monkeypatch):
         # [c(f, g)] and [s(f), s(g)] at the same availability are
         # different states: one cycle through both arcs, or two cycles
         ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
         f, g = (4, 0), (3, 2)
-        seen = _record_keys(monkeypatch, 1)
+        seen = _record_keys(monkeypatch)
         assert _solve_requirements(ps, [("s", f), ("s", g)]) is None  # no 0 ~> 4 path
         first = len(seen)
         assert len(_solve_requirements(ps, [("c", f, g)])) == 1
@@ -598,13 +646,13 @@ class TestMemoKey:
         assert single[0] != pair[0] and single[2] != pair[2]
 
     def test_slack_one_shapes_with_a_two_arc_requirement(self, monkeypatch, paper_T7):
-        seen = _record_keys(monkeypatch, 1)
+        seen = _record_keys(monkeypatch)
         d = _two_T7_copies(paper_T7)
         fr = min_feedback_arc_set(d)
         tracker = _Tracker(Budget())
         assert _decide(d, fr.arcs, 1, tracker) is None  # every shape refuted
         _assert_keys_agree(seen)
-        pair_at = 12 + 2 * d.n * d.n
+        pair_at = 2 * d.n * d.n
         assert any(kept >> pair_at for kept, *_ in seen)  # two-arc shapes visited
         assert tracker.hits > 0
 
