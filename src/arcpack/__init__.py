@@ -24,9 +24,7 @@ from .digraph import (
     Digraph,
     backward_arcs,
     format_graph,
-    is_acyclic,
     is_eulerian,
-    is_strongly_connected,
     parse_graph,
     second_out_neighborhood,
     topological_order,
@@ -60,11 +58,7 @@ from .instances import (
     BUILTIN_NAMES,
     builtin,
     label_of,
-    paper_T,
-    paper_T7,
-    paper_T11,
     paper_T_backward_arcs,
-    paper_Tprime,
     random_oriented,
     random_tournament,
     transitive_tournament,
@@ -116,9 +110,7 @@ __all__ = [
     "format_report",
     "greedy_short_cycles",
     "guaranteed_cycles_through",
-    "is_acyclic",
     "is_eulerian",
-    "is_strongly_connected",
     "is_valid_packing",
     "label_of",
     "labeled_count_identity_holds",
@@ -133,11 +125,7 @@ __all__ = [
     "normalize_cycle",
     "packing_bruteforce",
     "packing_violation",
-    "paper_T",
-    "paper_T11",
-    "paper_T7",
     "paper_T_backward_arcs",
-    "paper_Tprime",
     "parse_claim",
     "parse_graph",
     "random_oriented",

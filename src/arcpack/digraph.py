@@ -166,17 +166,6 @@ class Digraph:
             rows[u] &= ~(1 << v)
         return Digraph(self.n, rows)
 
-    def with_arcs(self, arcs: Iterable[Arc]) -> "Digraph":
-        """Copy with the given arcs added; adding an existing arc is an error."""
-        rows = list(self.out)
-        for u, v in arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
-                raise ValueError(f"cannot add arc ({u}, {v})")
-            if (rows[u] >> v) & 1:
-                raise ValueError(f"arc ({u}, {v}) already present")
-            rows[u] |= 1 << v
-        return Digraph(self.n, rows)
-
     def induced(self, vertices: Iterable[int]) -> tuple["Digraph", tuple[int, ...]]:
         """Subgraph induced by ``vertices``.
 
@@ -195,20 +184,6 @@ class Digraph:
                 if old_v in index:
                     rows[index[old_u]] |= 1 << index[old_v]
         return Digraph(len(keep), rows), tuple(keep)
-
-    def relabeled(self, perm: Iterable[int]) -> "Digraph":
-        """Image under the vertex permutation ``perm`` (old label -> new label)."""
-        p = tuple(perm)
-        if sorted(p) != list(range(self.n)):
-            raise ValueError(f"not a permutation of 0..{self.n - 1}: {p}")
-        rows = [0] * self.n
-        for u in range(self.n):
-            for v in bits(self.out[u]):
-                rows[p[u]] |= 1 << p[v]
-        return Digraph(self.n, rows)
-
-    def transpose(self) -> "Digraph":
-        return Digraph(self.n, self.inn)
 
     # -- dunder -------------------------------------------------------
 
@@ -265,10 +240,6 @@ def topological_order(d: Digraph) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def is_acyclic(d: Digraph) -> bool:
-    return topological_order(d) is not None
-
-
 # -- neighborhoods ----------------------------------------------------
 
 
@@ -315,16 +286,12 @@ def scc_masks(d: Digraph) -> list[int]:
     return comps
 
 
-def is_strongly_connected(d: Digraph) -> bool:
-    return len(scc_masks(d)) == 1
-
-
 def is_eulerian(d: Digraph) -> bool:
     """True when every vertex balances in- and out-degree and the graph is
     strongly connected (so one closed trail covers every arc)."""
     if any(d.out_degree(v) != d.in_degree(v) for v in range(d.n)):
         return False
-    return is_strongly_connected(d)
+    return len(scc_masks(d)) == 1
 
 
 # -- text format ------------------------------------------------------

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
 
-from .digraph import Arc, Digraph, backward_arcs, bits, is_acyclic, topological_order
+from .digraph import Arc, Digraph, backward_arcs, bits, topological_order
 
 MAX_DP_VERTICES = 24
 
@@ -259,10 +259,10 @@ def min_fas_path(d: Digraph, arcs: Iterable[Arc]) -> tuple[int, ...] | None:
         if not (0 <= u < d.n and d.has_arc(u, v)):
             raise ValueError(f"({u}, {v}) is not an arc of the graph")
     if not fas:
-        return () if is_acyclic(d) else None
+        return () if topological_order(d) is not None else None
     if len(fas) != feedback_arc_set_size(d):
         return None
-    if not is_acyclic(d.without_arcs(fas)):
+    if topological_order(d.without_arcs(fas)) is None:
         return None
     verts = sorted({u for a in fas for u in a})
     index = {old: new for new, old in enumerate(verts)}

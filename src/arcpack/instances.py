@@ -1,29 +1,28 @@
 """Built-in reference instances and seeded random generators.
 
 The four reference tournaments are fixed constructions used throughout the
-verification suite.  Each one is defined by an ordering of its vertices
-(labeled ``a``, ``b``, ``c``, ... for display) together with the set of
-"backward" arcs; every other pair is oriented from the earlier vertex to
-the later one.
+verification suite.  Each one is a row of ``_BUILTINS``: its order and its
+"backward" arcs, with vertices labeled ``a``, ``b``, ``c``, ... for display;
+every other pair is oriented from the earlier vertex to the later one.
 
-* ``paper_T``       13 vertices, 12 backward arcs; its minimum feedback
+* ``paper-T``       13 vertices, 12 backward arcs; its minimum feedback
                     arc set induces a directed path but the maximum
                     arc-disjoint cycle packing is one short of it.
-* ``paper_Tprime``  ``paper_T`` with three pairs re-oriented, widening
-                    the same gap at 15 vs 14.
-* ``paper_T7``      the smallest tournament with such a gap (5 vs 4).
-* ``paper_T11``     an eulerian tournament whose out-degrees all equal 5,
+* ``paper-Tprime``  ``paper-T``'s row plus ``mc kc ka``: three pairs
+                    re-oriented, widening the same gap at 15 vs 14.
+* ``paper-T7``      the smallest tournament with such a gap (5 vs 4).
+* ``paper-T11``     an eulerian tournament whose out-degrees all equal 5,
                     used to separate 3-cycle packing from general cycle
                     packing through a vertex.
 
-Random generators are deterministic functions of their arguments; the
-same seed always yields the same graph on every platform.
+``builtin`` also builds ``transitive-N``, the acyclic tournament on ``N``
+vertices.  Random generators are deterministic functions of their
+arguments; the same seed always yields the same graph on every platform.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from .digraph import Arc, Digraph, is_decimal
 
@@ -54,55 +53,35 @@ def _parse_pairs(pairs: str) -> list[Arc]:
     return out
 
 
-def _tournament_from_backward(n: int, backward: Iterable[Arc]) -> Digraph:
-    """Tournament on 0..n-1 where listed arcs point backward and every
-    other pair is oriented from the smaller vertex to the larger one."""
-    back = set(backward)
-    arcs = list(back)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (v, u) not in back:
-                arcs.append((u, v))
-    return Digraph.from_arcs(n, arcs)
+def _tournament_from_backward(n: int, pairs: str) -> Digraph:
+    """Tournament on 0..n-1 with the arcs in ``pairs``, every other pair
+    oriented from the smaller vertex to the larger one."""
+    rows = list(transitive_tournament(n).out)
+    for u, v in _parse_pairs(pairs):
+        rows[v] &= ~(1 << u)
+        rows[u] |= 1 << v
+    return Digraph(n, rows)
 
 
 # Backward arcs of the 13-vertex reference tournament, in display letters:
 # a chain of distance-2 hops, four distance-6 hops, and two distance-8 hops.
 _T_BACKWARD = "ca ec ge ig ki mk ga ic ke mg ia me"
 
-# Pairs re-oriented to obtain the widened 13-vertex variant.
-_TPRIME_FLIPPED = "mc kc ka"
+# Each reference tournament's order and backward arcs.  In paper-T11, h, i
+# and j each beat a, b, c; k beats a..e; plus ca, gd, jh.
+_BUILTINS = {
+    "paper-T": (13, _T_BACKWARD),
+    "paper-Tprime": (13, f"{_T_BACKWARD} mc kc ka"),
+    "paper-T7": (7, "ca ec gd fb fa"),
+    "paper-T11": (11, "ha hb hc ia ib ic ja jb jc ka kb kc kd ke ca gd jh"),
+}
 
-_T7_BACKWARD = "ca ec gd fb fa"
-
-# Backward arcs of the eulerian 11-vertex tournament: h, i, j each beat
-# a, b, c; k beats a..e; plus ca, gd, jh.
-_T11_BACKWARD = "ha hb hc ia ib ic ja jb jc ka kb kc kd ke ca gd jh"
-
-
-def paper_T() -> Digraph:
-    """The 13-vertex reference tournament (ordering a..m, 12 backward arcs)."""
-    return _tournament_from_backward(13, _parse_pairs(_T_BACKWARD))
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def paper_T_backward_arcs() -> frozenset[Arc]:
-    """The 12 backward arcs of ``paper_T`` under its defining ordering."""
-    return frozenset(_parse_pairs(_T_BACKWARD))
-
-
-def paper_Tprime() -> Digraph:
-    """``paper_T`` with the pairs cm, ck, ak re-oriented to mc, kc, ka."""
-    return _tournament_from_backward(13, _parse_pairs(f"{_T_BACKWARD} {_TPRIME_FLIPPED}"))
-
-
-def paper_T7() -> Digraph:
-    """The 7-vertex reference tournament (ordering a..g, 5 backward arcs)."""
-    return _tournament_from_backward(7, _parse_pairs(_T7_BACKWARD))
-
-
-def paper_T11() -> Digraph:
-    """The eulerian 11-vertex reference tournament; every out-degree is 5."""
-    return _tournament_from_backward(11, _parse_pairs(_T11_BACKWARD))
+    """The 12 backward arcs of ``paper-T`` under its defining ordering."""
+    return frozenset(_parse_pairs(_BUILTINS["paper-T"][1]))
 
 
 def transitive_tournament(n: int) -> Digraph:
@@ -111,7 +90,7 @@ def transitive_tournament(n: int) -> Digraph:
 
 
 def triangle_family_T() -> tuple[tuple[int, int, int], ...]:
-    """Eleven arc-disjoint 3-cycles of ``paper_T``.
+    """Eleven arc-disjoint 3-cycles of ``paper-T``.
 
     Together they use 33 distinct arcs and cover eleven of the twelve
     backward arcs; only ``me`` is left uncovered.
@@ -126,16 +105,6 @@ def triangle_family_T() -> tuple[tuple[int, int, int], ...]:
     )
 
 
-_BUILTINS = {
-    "paper-T": paper_T,
-    "paper-Tprime": paper_Tprime,
-    "paper-T7": paper_T7,
-    "paper-T11": paper_T11,
-}
-
-BUILTIN_NAMES = tuple(_BUILTINS)
-
-
 def builtin(name: str) -> Digraph:
     """Look up a built-in graph by CLI name.
 
@@ -143,7 +112,7 @@ def builtin(name: str) -> Digraph:
     ``N`` between 1 and 64, written in ASCII digits.
     """
     if name in _BUILTINS:
-        return _BUILTINS[name]()
+        return _tournament_from_backward(*_BUILTINS[name])
     if name.startswith("transitive-"):
         size = name.removeprefix("transitive-")
         if not is_decimal(size):

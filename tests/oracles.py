@@ -86,6 +86,24 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
     return Digraph(n, rows)
 
 
+def relabel(d: Digraph, perm) -> Digraph:
+    """Image of ``d`` under the vertex permutation ``perm`` (old label ->
+    new label), for the metamorphic tests."""
+    p = tuple(perm)
+    if sorted(p) != list(range(d.n)):
+        raise ValueError(f"not a permutation of 0..{d.n - 1}: {p}")
+    rows = [0] * d.n
+    for u in range(d.n):
+        for v in bits(d.out[u]):
+            rows[p[u]] |= 1 << p[v]
+    return Digraph(d.n, rows)
+
+
+def reverse(d: Digraph) -> Digraph:
+    """``d`` with every arc reversed: its in-rows as out-rows."""
+    return Digraph(d.n, d.inn)
+
+
 def golden_graph(case: dict) -> Digraph:
     """The graph of a golden-file case: its ``rows`` when it lists them,
     else the seeded random graph it names by kind, n, p, seed."""

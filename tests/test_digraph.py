@@ -10,9 +10,7 @@ from arcpack.digraph import (
     backward_arcs,
     bits,
     format_graph,
-    is_acyclic,
     is_eulerian,
-    is_strongly_connected,
     parse_graph,
     scc_masks,
     second_out_neighborhood,
@@ -26,6 +24,8 @@ from oracles import (
     in_rows_reference,
     parse_graph_reference,
     random_digraph,
+    relabel,
+    reverse,
     scc_brute,
     second_out_brute,
 )
@@ -105,7 +105,7 @@ class TestInRows:
     def test_two_cycles_and_tournaments(self, n):
         for d in (random_digraph(n, 0.5, n), random_tournament(n, n)):
             assert d.inn == in_rows_reference(list(d.out))
-            assert d.transpose().inn == d.out
+            assert Digraph(n, d.inn).inn == d.out
 
 
 class _BigEndianArray(bytearray):
@@ -142,15 +142,11 @@ class TestInRowsBigEndian:
 
 
 class TestDerivedGraphs:
-    def test_without_with_arcs(self):
+    def test_without_arcs(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-        smaller = d.without_arcs([(1, 2)])
-        assert smaller.arcs() == [(0, 1), (2, 0)]
-        assert smaller.with_arcs([(1, 2)]) == d
+        assert d.without_arcs([(1, 2)]).arcs() == [(0, 1), (2, 0)]
         with pytest.raises(ValueError, match="not present"):
             d.without_arcs([(2, 1)])
-        with pytest.raises(ValueError, match="already present"):
-            d.with_arcs([(0, 1)])
 
     def test_induced_keeps_labels(self):
         d = Digraph.from_arcs(5, [(0, 3), (3, 4), (4, 0), (1, 2)])
@@ -163,24 +159,24 @@ class TestDerivedGraphs:
             d.induced([0, 9])
 
     def test_relabeled_bijection(self):
+        # the metamorphic tests' relabeling oracle
         d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
-        r = d.relabeled([2, 0, 1])
-        assert r.arcs() == [(0, 1), (2, 0)]
+        assert relabel(d, [2, 0, 1]).arcs() == [(0, 1), (2, 0)]
         with pytest.raises(ValueError):
-            d.relabeled([0, 0, 1])
+            relabel(d, [0, 0, 1])
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs())
     def test_transpose_involution(self, d):
-        assert d.transpose().transpose() == d
-        assert d.transpose().arc_count() == d.arc_count()
+        assert reverse(reverse(d)) == d
+        assert reverse(d).arc_count() == d.arc_count()
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs(max_n=6), st.randoms(use_true_random=False))
     def test_relabel_preserves_acyclicity(self, d, rnd):
         perm = list(range(d.n))
         rnd.shuffle(perm)
-        assert is_acyclic(d.relabeled(perm)) == is_acyclic(d)
+        assert (topological_order(relabel(d, perm)) is None) == (topological_order(d) is None)
 
 
 class TestOrderings:
@@ -198,13 +194,12 @@ class TestOrderings:
     def test_topological_order_none_on_cycle(self):
         d = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         assert topological_order(d) is None
-        assert not is_acyclic(d)
 
     @settings(max_examples=80, deadline=None)
     @given(digraphs())
     def test_removing_backward_arcs_acyclifies(self, d):
         order = tuple(range(d.n))
-        assert is_acyclic(d.without_arcs(backward_arcs(d, order)))
+        assert topological_order(d.without_arcs(backward_arcs(d, order))) is not None
 
 
 class TestNeighborhoods:
@@ -228,13 +223,13 @@ class TestNeighborhoods:
 class TestConnectivity:
     def test_cycle_is_strong_and_eulerian(self):
         c = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert is_strongly_connected(c)
+        assert len(scc_masks(c)) == 1
         assert is_eulerian(c)
 
     def test_balanced_but_disconnected_is_not_eulerian(self):
         # two vertex-disjoint 2-cycles: every degree balances
         d = Digraph.from_arcs(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-        assert not is_strongly_connected(d)
+        assert len(scc_masks(d)) == 2
         assert not is_eulerian(d)
 
     def test_unbalanced_is_not_eulerian(self):
@@ -251,8 +246,6 @@ class TestConnectivity:
             covered |= m
         assert covered == (1 << d.n) - 1
         assert {frozenset(bits(m)) for m in masks} == scc_brute(d)
-        assert is_strongly_connected(d) == (len(masks) == 1)
-        assert is_strongly_connected(d) == (len(scc_brute(d)) == 1)
 
 
 class TestHamiltonianPath:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcpack import enumeration
 from arcpack.cli import main
 from arcpack.digraph import Digraph
 from arcpack.enumeration import (
@@ -21,7 +23,7 @@ from arcpack.enumeration import (
 from arcpack.fas import feedback_arc_set_size
 from arcpack.instances import random_tournament
 from arcpack.packing import max_cycle_packing
-from oracles import all_labeled_tournaments, canonical_brute
+from oracles import all_labeled_tournaments, canonical_brute, relabel
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
 
@@ -52,7 +54,7 @@ class TestCanonicalForm:
     def test_relabeling_invariance(self, t, rnd):
         perm = list(range(t.n))
         rnd.shuffle(perm)
-        assert canonical_form(t.relabeled(perm)) == canonical_form(t)
+        assert canonical_form(relabel(t, perm)) == canonical_form(t)
 
     @settings(max_examples=60, deadline=None)
     @given(tournaments(max_n=5))
@@ -60,7 +62,7 @@ class TestCanonicalForm:
         brute = sum(
             1
             for p in itertools.permutations(range(t.n))
-            if t.relabeled(p) == t
+            if relabel(t, p) == t
         )
         assert canonical_form(t)[1] == brute
 
@@ -141,7 +143,7 @@ class TestEnumeration:
         for t in rng.sample(enumerate_tournaments(6), 8):
             perm = list(range(t.n))
             rng.shuffle(perm)
-            r = t.relabeled(perm)
+            r = relabel(t, perm)
             assert feedback_arc_set_size(r) == feedback_arc_set_size(t)
             assert max_cycle_packing(r).value == max_cycle_packing(t).value
 
@@ -153,6 +155,23 @@ class TestSweeps:
         assert rep.class_counts == (1, 1, 2, 4, 12, 56)
         assert rep.identity_ok
         assert rep.violations == ()
+
+    def test_short_packing_is_a_violation(self, monkeypatch):
+        # a packing one short of tau on the cyclic triangle puts its class,
+        # and only its class, in the report
+        cyclic = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+        real = enumeration.max_cycle_packing
+
+        def short_on_cyclic(t, budget=None):
+            rep = real(t, budget)
+            if canonical_code(t) == canonical_code(cyclic):
+                return dataclasses.replace(rep, value=0, cycles=())
+            return rep
+
+        monkeypatch.setattr(enumeration, "max_cycle_packing", short_on_cyclic)
+        rep = verify_nu_eq_tau_upto(4)
+        assert rep.violations == (canonical_code(cyclic),)
+        assert rep.identity_ok and not rep.ok
 
     def test_sweep_cap(self):
         with pytest.raises(ValueError, match="capped at order 6"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from arcpack import fas
-from arcpack.digraph import Digraph, backward_arcs, bits, is_acyclic, scc_masks
+from arcpack.digraph import Digraph, backward_arcs, bits, scc_masks, topological_order
 from arcpack.fas import (
     DEADLINE_BLOCK,
     BudgetExceeded,
@@ -34,6 +34,8 @@ from oracles import (
     min_fas_sets_brute,
     nu_set_packing,
     random_digraph,
+    relabel,
+    reverse,
     subset_costs_reference,
     tau_perm,
 )
@@ -70,7 +72,7 @@ def _layered(draw) -> Digraph:
         base += g.n
     perm = list(range(n))
     rng.shuffle(perm)
-    return Digraph(n, rows).relabeled(perm)
+    return relabel(Digraph(n, rows), perm)
 
 
 class TestMinFeedbackArcSet:
@@ -92,7 +94,7 @@ class TestMinFeedbackArcSet:
         assert res.tau == 12
         assert len(res.arcs) == 12
         assert res.arcs == backward_arcs(paper_T, res.ordering)
-        assert is_acyclic(paper_T.without_arcs(res.arcs))
+        assert topological_order(paper_T.without_arcs(res.arcs)) is not None
 
     def test_deterministic(self, paper_T7):
         a = min_feedback_arc_set(paper_T7)
@@ -114,7 +116,7 @@ class TestMinFeedbackArcSet:
         res = min_feedback_arc_set(d)
         assert res.tau == tau_perm(d)
         assert res.arcs == backward_arcs(d, res.ordering)
-        assert is_acyclic(d.without_arcs(res.arcs))
+        assert topological_order(d.without_arcs(res.arcs)) is not None
 
     def test_two_cycle_needs_one_arc(self):
         d = Digraph.from_arcs(2, [(0, 1), (1, 0)])
@@ -175,8 +177,8 @@ class TestMetamorphicTau:
     def test_relabel_and_transpose(self, d, data):
         tau = feedback_arc_set_size(d)
         perm = data.draw(st.permutations(range(d.n)))
-        assert feedback_arc_set_size(d.relabeled(perm)) == tau
-        assert feedback_arc_set_size(d.transpose()) == tau
+        assert feedback_arc_set_size(relabel(d, perm)) == tau
+        assert feedback_arc_set_size(reverse(d)) == tau
 
     @settings(max_examples=60, deadline=None)
     @given(_layered())
@@ -206,16 +208,18 @@ class TestMetamorphicNu:
     def test_relabel_and_transpose(self, d, data):
         nu = _nu(d)
         perm = data.draw(st.permutations(range(d.n)))
-        assert _nu(d.relabeled(perm)) == nu
-        assert _nu(d.transpose()) == nu
+        assert _nu(relabel(d, perm)) == nu
+        assert _nu(reverse(d)) == nu
 
     @settings(max_examples=40, deadline=None)
     @given(_graphs(9), st.data())
     def test_added_arc_never_lowers(self, d, data):
         missing = [(u, v) for u in range(d.n) for v in range(d.n) if u != v and not d.has_arc(u, v)]
         assume(missing)
-        arc = data.draw(st.sampled_from(missing))
-        assert _nu(d.with_arcs([arc])) >= _nu(d)
+        u, v = data.draw(st.sampled_from(missing))
+        rows = list(d.out)
+        rows[u] |= 1 << v
+        assert _nu(Digraph(d.n, rows)) >= _nu(d)
 
     @settings(max_examples=40, deadline=None)
     @given(_layered())
@@ -285,7 +289,7 @@ class TestEnumerateMinFas:
         tau = feedback_arc_set_size(paper_T)
         for s in sets:
             assert len(s) == tau
-            assert is_acyclic(paper_T.without_arcs(s))
+            assert topological_order(paper_T.without_arcs(s)) is not None
 
     def test_paper_T7_counts(self, paper_T7):
         sets = enumerate_min_fas(paper_T7, limit=500)
@@ -320,7 +324,7 @@ class TestEnumerateMinFas:
 
 class TestIsaakAtTen:
     """A 10-vertex answer to Isaak's question, three vertices below the
-    13-vertex ``paper_T``: a minimum FAS inducing a hamiltonian path while
+    13-vertex ``paper-T``: a minimum FAS inducing a hamiltonian path while
     the arc-disjoint cycles fall one short of it."""
 
     BACKWARD = frozenset({(2, 0), (4, 2), (6, 0), (6, 4), (9, 0), (9, 2), (9, 4), (9, 6)})

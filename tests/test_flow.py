@@ -14,11 +14,13 @@ from arcpack.flow import (
     min_arc_cover_through,
 )
 from arcpack.instances import random_oriented, random_tournament, vertex_of
-from arcpack.packing import is_valid_packing
+from arcpack.packing import is_valid_packing, packing_violation
 from oracles import (
     cycles_through_brute,
     golden_graph,
     random_digraph,
+    relabel,
+    reverse,
     simple_cycles_through,
 )
 
@@ -60,6 +62,16 @@ class TestMaxCyclesThrough:
             assert len(cut) == value
             assert is_valid_packing(d, cycles) and all(v in c for c in cycles)
             assert not simple_cycles_through(d.without_arcs(cut), v)
+
+    def test_decomposition_drops_a_closed_detour(self):
+        # the maximum flow on this tournament carries a circulation that
+        # avoids vertex 6; the decomposition walk enters it and must drop it
+        d = Digraph(9, (88, 173, 409, 144, 194, 477, 142, 1, 219))
+        value, cycles = max_cycles_through(d, 6)
+        assert value == 4 == cycles_through_brute(d, 6)
+        assert all(6 in c and len(set(c)) == len(c) for c in cycles)
+        assert packing_violation(d, cycles) is None
+        assert len(min_arc_cover_through(d, 6)) == 4
 
     def test_no_cycle_through_source(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
@@ -264,5 +276,5 @@ class TestIndependentChecks:
         assert cut <= set(d.arcs())
         assert not _on_cycle_through(d.without_arcs(cut), v0)
         perm = data.draw(st.permutations(range(d.n)))
-        assert max_cycles_through(d.relabeled(perm), perm[v0])[0] == value
-        assert max_cycles_through(d.transpose(), v0)[0] == value
+        assert max_cycles_through(relabel(d, perm), perm[v0])[0] == value
+        assert max_cycles_through(reverse(d), v0)[0] == value

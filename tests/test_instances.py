@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcpack.digraph import backward_arcs, is_acyclic, is_eulerian
+from arcpack.digraph import backward_arcs, is_eulerian, topological_order
 from arcpack.instances import (
     BUILTIN_NAMES,
     builtin,
     label_of,
-    paper_T,
     paper_T_backward_arcs,
     random_oriented,
     random_tournament,
@@ -17,7 +16,8 @@ from arcpack.instances import (
 
 
 def _arcs_from_words(words):
-    return {(vertex_of(paper_T(), a), vertex_of(paper_T(), b)) for a, b in words.split()}
+    t = builtin("paper-T")
+    return {(vertex_of(t, a), vertex_of(t, b)) for a, b in words.split()}
 
 
 class TestPaperT:
@@ -32,7 +32,7 @@ class TestPaperT:
         assert paper_T_backward_arcs() == frozenset(expected)
 
     def test_backward_removal_acyclic(self, paper_T):
-        assert is_acyclic(paper_T.without_arcs(paper_T_backward_arcs()))
+        assert topological_order(paper_T.without_arcs(paper_T_backward_arcs())) is not None
 
 
 class TestPaperTprime:
@@ -107,7 +107,7 @@ class TestBuiltins:
     def test_transitive(self):
         t = builtin("transitive-9")
         assert t == transitive_tournament(9)
-        assert t.is_tournament() and is_acyclic(t)
+        assert t.is_tournament() and topological_order(t) is not None
 
     @pytest.mark.parametrize(
         "bad",

@@ -4,7 +4,12 @@ import re
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import arcpack
+from arcpack.fas import enumerate_min_fas
+from arcpack.instances import builtin, random_oriented
+from arcpack.packing import count_triangles_through, max_triangles_through
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,6 +25,21 @@ def test_all_lists_every_public_name():
     assert set(arcpack.__all__) == bound
     for name in arcpack.__all__:
         assert getattr(arcpack, name) is not None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: enumerate_min_fas(builtin("paper-T7"), 0), "limit must be positive"),
+        (lambda: random_oriented(5, 1.5, 0), "probability must be in"),
+        (lambda: count_triangles_through(builtin("paper-T7"), 7), "vertex 7 out of range"),
+        (lambda: max_triangles_through(builtin("paper-T7"), 7), "vertex 7 out of range"),
+    ],
+    ids=["enumerate_min_fas-limit", "random_oriented-p", "count_triangles-v", "max_triangles-v"],
+)
+def test_bad_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_readme_library_example_runs():

@@ -344,6 +344,27 @@ class TestPathSystem:
             want = sum((1 << max(b - a - 1, 0)) << (b * n) for b in range(a, n))
             assert table[a] == want
 
+    def test_walk_enters_only_vertices_that_reach_dst(self, monkeypatch):
+        # 0 reaches 9 only through 1; it also reaches a transitive
+        # tournament on 2..8, from which 9 is unreachable
+        n, src, dst = 10, 0, 9
+        dense = range(2, 9)
+        arcs = [(0, 1), (1, 9)] + [(0, v) for v in dense]
+        arcs += [(u, v) for u in dense for v in dense if u < v]
+        ps = _dag_system(n, arcs)
+        table = ps.path_table()
+        entered = []
+        real_bits = packing.bits
+
+        def counting_bits(mask):
+            for v in real_bits(mask):
+                entered.append(v)
+                yield v
+
+        monkeypatch.setattr(packing, "bits", counting_bits)
+        assert list(ps.iter_paths(table, src, dst)) == [(0, 1, 9)]
+        assert entered == [1, 9]
+
     def test_place_unplace_roundtrip(self):
         ps = _dag_system(3, [(0, 1), (1, 2), (0, 2)])
         before = list(ps.avail), ps.flat
