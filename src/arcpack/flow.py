@@ -17,6 +17,11 @@ columns of a capacity matrix, and stops at the first vertex whose row
 holds the sink, the sink's parent in that scan.  The augmenting paths,
 witness cycles and cut thus do not depend on the representation.
 
+``max_cycles_through`` and ``min_arc_cover_through`` share a one-entry
+memo of the last flow, keyed on the graph and ``v0``, so a query that
+asks both on the same ``(d, v0)`` runs the search once.  The residual
+cut is checked against the flow value on every call, hit or miss.
+
 Also hosts ``guaranteed_cycles_through``, the sufficient condition for a
 vertex adjacent to all others to lie on out-degree many arc-disjoint
 cycles.
@@ -24,11 +29,13 @@ cycles.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .digraph import Arc, Digraph, bits
 from .packing import Cycle, normalize_cycle
 
 
-def _max_flow(d: Digraph, v0: int) -> tuple[int, list[int], list[int], int]:
+def _edmonds_karp(d: Digraph, v0: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
     """Edmonds-Karp from ``v0`` to its sink copy, node ``d.n``.
 
     Arcs into ``v0`` are redirected to the sink copy, so nothing enters
@@ -65,7 +72,7 @@ def _max_flow(d: Digraph, v0: int) -> tuple[int, list[int], list[int], int]:
                     new ^= low
             queue = nxt
         if not seen & sink_bit:
-            return value, cap, fl, seen
+            return value, tuple(cap), tuple(fl), seen
         w = n
         while w != v0:
             v = parent[w]
@@ -79,6 +86,11 @@ def _max_flow(d: Digraph, v0: int) -> tuple[int, list[int], list[int], int]:
         value += 1
 
 
+@lru_cache(maxsize=1)
+def _max_flow(d: Digraph, v0: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    return _edmonds_karp(d, v0)
+
+
 def max_cycles_through(d: Digraph, v0: int) -> tuple[int, tuple[Cycle, ...]]:
     """Largest set of arc-disjoint directed cycles through ``v0``.
 
@@ -87,6 +99,7 @@ def max_cycles_through(d: Digraph, v0: int) -> tuple[int, tuple[Cycle, ...]]:
     ``v0``, so each witness is a simple cycle.
     """
     value, _, fl, _ = _max_flow(d, v0)
+    fl = list(fl)  # the walk consumes these rows; the memo keeps its own
     n = d.n
     cycles = []
     for _ in range(value):

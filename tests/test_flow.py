@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcpack import flow
 from arcpack.claims import universal_vertex_cycle_counts
 from arcpack.digraph import Digraph, bits
 from arcpack.flow import (
@@ -236,6 +237,75 @@ class TestGoldenFlows:
             got_value, got_cycles = max_cycles_through(d, v)
             assert (got_value, [list(c) for c in got_cycles]) == (value, cycles), v
             assert [list(a) for a in sorted(min_arc_cover_through(d, v))] == cut, v
+
+
+class TestSharedFlow:
+    """Both public functions read a one-entry memo of the last flow."""
+
+    def test_repeat_query_gives_the_same_cycles(self, paper_T11):
+        # the decomposition consumes flow rows; the memo must keep its own
+        k = vertex_of(paper_T11, "k")
+        first = max_cycles_through(paper_T11, k)
+        # checked before the repeat, which would loop on consumed rows
+        assert flow._max_flow(paper_T11, k) == flow._edmonds_karp(paper_T11, k)
+        assert max_cycles_through(paper_T11, k) == first
+        assert len(min_arc_cover_through(paper_T11, k)) == first[0] == 5
+
+    def test_graphs_in_rotation_at_one_vertex(self):
+        # the same v0 on different graphs must not share an entry
+        graphs = [(golden_graph(case), case["flows"][0]) for case in GOLDEN]
+        for d, (value, cycles, cut) in graphs * 2:
+            got_value, got_cycles = max_cycles_through(d, 0)
+            assert (got_value, [list(c) for c in got_cycles]) == (value, cycles)
+            assert [list(a) for a in sorted(min_arc_cover_through(d, 0))] == cut
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Records each run of the flow search, starting from an empty memo
+    and leaving one behind."""
+    calls = []
+    real = flow._edmonds_karp
+
+    def counted(d, v0):
+        calls.append(v0)
+        return real(d, v0)
+
+    monkeypatch.setattr(flow, "_edmonds_karp", counted)
+    flow._max_flow.cache_clear()
+    yield calls
+    flow._max_flow.cache_clear()
+
+
+class TestOneFlowPerQuery:
+    def test_both_functions_on_every_vertex(self, paper_T11, searches):
+        for v in range(paper_T11.n):
+            max_cycles_through(paper_T11, v)
+            min_arc_cover_through(paper_T11, v)
+        assert searches == list(range(paper_T11.n))
+
+    def test_repeated_query_runs_no_search(self, paper_T11, searches):
+        fresh = flow._edmonds_karp(paper_T11, 0)
+        searches.clear()
+        for _ in range(3):
+            max_cycles_through(paper_T11, 0)
+            min_arc_cover_through(paper_T11, 0)
+            # a consumed entry would make the next repeat loop
+            assert flow._max_flow(paper_T11, 0) == fresh
+        assert searches == [0]
+
+    def test_cut_check_runs_on_a_hit(self, paper_T11, searches, monkeypatch):
+        real = flow._edmonds_karp
+
+        def inflated(d, v0):
+            value, *network = real(d, v0)
+            return value + 1, *network
+
+        monkeypatch.setattr(flow, "_edmonds_karp", inflated)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="residual cut"):
+                min_arc_cover_through(paper_T11, 0)
+        assert searches == [0]
 
 
 def _graphs():
