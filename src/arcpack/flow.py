@@ -107,6 +107,8 @@ def max_cycles_through(d: Digraph, v0: int) -> tuple[int, tuple[Cycle, ...]]:
         pos = {v0: 0}
         v = v0
         while v != n:
+            if not fl[v]:
+                raise RuntimeError(f"flow of value {value} has no arc out of {v} left")
             low = fl[v] & -fl[v]
             fl[v] ^= low
             w = low.bit_length() - 1

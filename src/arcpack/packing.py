@@ -12,8 +12,12 @@ that pigeonhole is:
   in a DAG.
 * A packing of size ``tau - 1`` has exactly two shapes: either one arc
   of ``F`` is unused entirely, or a single cycle passes through two arcs
-  of ``F`` and the rest use one each.  Both reduce to the same path
-  system with one requirement dropped or merged.
+  ``f`` and ``g`` of ``F`` and the rest use one each.  The cycle through
+  two arcs is two paths, head of ``f`` to tail of ``g`` and head of
+  ``g`` to tail of ``f``, needing only to be arc-disjoint: if they met
+  at a vertex, the closed walk would split into a cycle through ``f``
+  and one through ``g``, a packing of size ``tau`` that the shapes with
+  an unused arc, tried first, have already refuted.
 
 One decider, ``_decide``, searches that path system for a packing of
 size ``tau - slack`` with slack 0 or 1.  Both reductions are
@@ -24,32 +28,30 @@ can be deleted (dropping the feedback bound by exactly one).
 
 The path-system search is exhaustive, so its cost is what it visits:
 
-* Per node it counts the realizations of every open requirement to
-  branch on the most constrained one.  One pass in reverse topological
-  order packs, for every vertex ``v``, the numbers of ``v -> t`` paths
-  for every ``t`` into one int, an ``n``-bit field per ``t``
+* Per node it counts the paths of every open requirement to branch on
+  the most constrained one.  One pass in reverse topological order
+  packs, for every vertex ``v``, the numbers of ``v -> t`` paths for
+  every ``t`` into one int, an ``n``-bit field per ``t``
   (``_PathSystem.path_table``): one int add per available arc, over
   out-neighbor tuples cached per row value, so reserved arcs cost
   nothing.  A DAG on ``n`` vertices has at most ``2**(n-2)`` paths
-  between two vertices, so no field overflows.  A single-arc
-  requirement reads its count from one field of that table, a two-arc
-  one by inclusion-exclusion over the vertices its paths must avoid.
-  The walk over the realizations it branches on reads the same table:
-  a path to ``t`` enters only vertices whose ``t`` field is nonzero.
+  between two vertices, so no field overflows.  A requirement reads
+  its count from one field of that table, and the walk over the paths
+  it branches on reads the same table: a path to ``t`` enters only
+  vertices whose ``t`` field is nonzero.
 * Per solve it remembers the states it has refuted.  Whether a state is
-  feasible depends only on the available arcs and on the set of open
-  requirements, so one int holding a bit per available arc, a bit per
-  open single-arc requirement and the code of the open two-arc one is a
-  complete key (``_solve_requirements``).  The key is kept up to date
-  rather than rebuilt: reserving or releasing an arc flips its bit, and
-  realizing a requirement clears its part, so a node costs one int
-  ``|`` for its key.  The memo lives on the solve's
+  feasible depends only on the available arcs and on the ends of the
+  open paths, so one int holding a bit per available arc and a bit per
+  open requirement is a complete key (``_solve_requirements``).  The
+  key is kept up to date rather than rebuilt: reserving or releasing an
+  arc flips its bit, and realizing a requirement clears its bit, so a
+  node costs one int ``|`` for its key.  The memo lives on the solve's
   ``_Tracker``, which lets every shape of every ``_decide`` call, those
   under the general branch-and-bound included, share it.  Only
   refutations are stored, so a hit prunes a branch that would fail
   anyway and answers and certificates are the same as without it.
-  A state refuted because some requirement has no realization at all is
-  not stored: counting again is cheaper.  At most ``MEMO_MAX_ENTRIES``
+  A state refuted because some requirement has no path at all is not
+  stored: counting again is cheaper.  At most ``MEMO_MAX_ENTRIES``
   states are kept; later refutations are not stored.
 
 All searches, the feedback arc set DP included, honor a node/time
@@ -250,7 +252,7 @@ class _PathSystem:
     def path_table(self) -> list[int]:
         """For every vertex v, the number of directed v->t paths on
         available arcs for every t, packed into one int: the count for t
-        is the ``n``-bit field at bit ``t * n`` (see ``_paths``).
+        is the ``n``-bit field at bit ``t * n``.
 
         One pass in reverse topological order: v's int is its own unit
         field (the empty path) plus the ints of its available
@@ -271,16 +273,13 @@ class _PathSystem:
             table[v] = acc
         return table
 
-    def iter_paths(
-        self, table: list[int], src: int, dst: int, forbid: int = 0
-    ) -> Iterator[tuple[int, ...]]:
-        """All src->dst paths on available arcs whose interior avoids
-        ``forbid``, in lexicographic order.
+    def iter_paths(self, table: list[int], src: int, dst: int) -> Iterator[tuple[int, ...]]:
+        """All src->dst paths on available arcs, in lexicographic order.
 
         The graph is acyclic, so paths are automatically vertex-simple.
         The walk enters only vertices whose ``dst`` field is nonzero in
         ``table``, this availability's ``path_table``: the vertices that
-        reach ``dst``, though maybe only through ``forbid``.
+        reach ``dst``.
         """
         avail = self.avail
         shift = dst * self.n
@@ -289,7 +288,6 @@ class _PathSystem:
         for v, counts in enumerate(table):
             if counts >> shift & fmask:
                 alive |= 1 << v
-        alive &= ~forbid | 1 << dst
         path = [src]
 
         def rec(v: int) -> Iterator[tuple[int, ...]]:
@@ -309,108 +307,53 @@ def _path_arcs(path: tuple[int, ...]) -> list[Arc]:
     return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
-# A requirement is one cycle to be built:
-#   ("s", (x, y))         cycle through the single feedback arc x -> y
-#   ("c", (x, y), (u, w)) cycle through both x -> y and u -> w
-def _paths(table: list[int], n: int, a: int, b: int) -> int:
-    """Number of a->b paths in a ``path_table`` of an ``n``-vertex DAG."""
-    return table[a] >> b * n & (1 << n) - 1
+# A requirement (f, g) pairs two feedback arcs: a path from the head of
+# f to the tail of g, where g follows f on f's cycle.  (f, f) closes the
+# cycle through f alone.
+Requirement = tuple[Arc, Arc]
 
 
-def _avoiding_paths(table: list[int], n: int, a: int, b: int, z1: int, z2: int) -> int:
-    """Number of a->b paths whose interior avoids ``z1`` and ``z2``.
+def _solve_requirements(
+    ps: _PathSystem, reqs: list[Requirement]
+) -> list[tuple[Requirement, tuple[int, ...]]] | None:
+    """Realize all requirements with pairwise arc-disjoint paths, and
+    return each with its path, in the order they were placed.
 
-    Inclusion-exclusion over the paths through each avoided vertex that
-    is not an endpoint.  The graph is acyclic, so a path through both
-    meets them in one order, and at most one order has paths at all.
-    """
-    zs = {z1, z2} - {a, b}
-    count = _paths(table, n, a, b)
-    for z in zs:
-        count -= _paths(table, n, a, z) * _paths(table, n, z, b)
-    if len(zs) == 2:
-        for p, q in ((z1, z2), (z2, z1)):
-            count += _paths(table, n, a, p) * _paths(table, n, p, q) * _paths(table, n, q, b)
-    return count
-
-
-def _two_arc_count(table: list[int], n: int, req: tuple) -> int:
-    """Realizations of the two-arc requirement ``req``, read from the
-    ``path_table`` of the current availability.  Its two paths are
-    counted independently: each avoids the other's endpoints, not its
-    arcs.  (A single-arc requirement x -> y has ``_paths(table, n, y,
-    x)`` realizations, which ``_search`` reads inline.)"""
-    x, y = req[1]
-    u, w = req[2]
-    c1 = _avoiding_paths(table, n, y, u, x, w)
-    if c1 == 0:
-        return 0
-    return c1 * _avoiding_paths(table, n, w, x, y, u)
-
-
-def _requirement_placements(
-    ps: _PathSystem, table: list[int], req: tuple
-) -> Iterator[tuple[list[Arc], Cycle]]:
-    """Yield (arcs to reserve, finished cycle) for every way to realize
-    the requirement on the available arcs, whose ``path_table`` is
-    ``table``.  A two-arc requirement's second path avoids every vertex
-    of its first, so both walks run on one availability."""
-    x, y = req[1]
-    if req[0] == "s":
-        for path in ps.iter_paths(table, y, x):
-            yield _path_arcs(path), (x,) + path[:-1]
-        return
-    u, w = req[2]
-    for p1 in ps.iter_paths(table, y, u, forbid=(1 << x) | (1 << w)):
-        a1 = _path_arcs(p1)
-        for p2 in ps.iter_paths(table, w, x, forbid=sum(1 << v for v in p1)):
-            yield a1 + _path_arcs(p2), (x,) + p1 + p2[:-1]
-
-
-def _solve_requirements(ps: _PathSystem, reqs: list[tuple]) -> list[Cycle] | None:
-    """Realize all requirements with pairwise arc-disjoint paths.
-
-    The requirements must be distinct, and at most one may be two-arc
-    (``"c"``), with arcs that share no tail and no head: the shapes
-    ``_decide`` builds.  The memo key of a state is ``ps.flat | code``,
-    and ``_search`` clears one requirement's ``delta`` from ``code`` per
-    realized requirement.  Bit ``u * n + v`` is the available arc
-    (u, v), bit ``n * n + x * n + y`` the open single-arc requirement
-    x -> y, and the code of the open two-arc requirement, if any, sits
-    above bit ``2 * n * n``.  So distinct states never share a key.
+    The memo key of a state is ``ps.flat | code``, and ``_search``
+    clears one requirement's ``delta`` from ``code`` per realized one.
+    Bit ``u * n + v`` is the available arc (u, v), bit ``n * n + x * n +
+    y`` the open (f, f) with f = (x, y), and bit ``2 * n * n + y * n +
+    u`` an open (f, g) with f = (x, y) and g = (u, w) != f: its path's
+    two ends.  Whether a state is feasible depends only on the available
+    arcs and on the ends of the open paths, so the key is complete.  Two
+    requirements on one bit raise ``ValueError``.
     """
     n = ps.n
     n2 = n * n
-    if len(set(reqs)) < len(reqs):
-        raise ValueError("requirements must be distinct")
-    pairs = [req for req in reqs if req[0] == "c"]
-    if len(pairs) > 1:
-        raise ValueError("at most one two-arc requirement")
-    if any(f[0] == g[0] or f[1] == g[1] for _, f, g in pairs):
-        raise ValueError("a two-arc requirement's arcs share a tail or a head")
     code = 0
     items = []
     for req in reqs:
-        x, y = req[1]
-        if req[0] == "s":
+        (x, y), (u, _) = req
+        if req[0] == req[1]:
             delta = 1 << n2 + x * n + y
-            items.append((req, y, x * n, delta))
         else:
-            u, v = req[2]
-            delta = 1 + (x * n + y) * n2 + u * n + v << 2 * n2
-            items.append((req, -1, 0, delta))
+            delta = 1 << 2 * n2 + y * n + u
+        if code & delta:
+            raise ValueError("requirements must be distinct")
         code |= delta
+        items.append((req, y, u * n, delta))
     return _search(ps, items, code)
 
 
-def _search(ps: _PathSystem, items: list[tuple], code: int) -> list[Cycle] | None:
+def _search(ps: _PathSystem, items: list[tuple], code: int) -> list | None:
     """One search node: ``items`` are the open requirements, each as
-    ``(req, y, x * n, delta)`` (``y`` is -1 for a two-arc one), and
+    ``(req, y, u * n, delta)`` for a path from ``y`` to ``u``, and
     ``ps.flat | code`` is the state's memo key.
 
-    Picks the most constrained requirement first; a requirement with no
-    realization left refutes the whole branch.  Refuted states go into
-    the tracker's memo and are refuted again without a search.
+    Picks the requirement with the fewest paths first, the earliest on a
+    tie; a requirement with no path left refutes the whole branch.
+    Refuted states go into the tracker's memo and are refuted again
+    without a search.
     """
     if not items:
         return []
@@ -425,25 +368,44 @@ def _search(ps: _PathSystem, items: list[tuple], code: int) -> list[Cycle] | Non
     fmask = ps.fmask
     best_i = -1
     best_count = None
-    for i, (req, y, shift, _) in enumerate(items):
-        c = table[y] >> shift & fmask if y >= 0 else _two_arc_count(table, n, req)
+    for i, (_, y, shift, _) in enumerate(items):
+        c = table[y] >> shift & fmask
         if c == 0:
             return None  # cheaper to count again than to store
         if best_count is None or c < best_count:
             best_i, best_count = i, c
-    req, _, _, delta = items[best_i]
+    req, y, shift, delta = items[best_i]
     rest = items[:best_i] + items[best_i + 1 :]
     code -= delta
-    for arcs, cyc in _requirement_placements(ps, table, req):
+    for path in ps.iter_paths(table, y, shift // n):
         tracker.tick()
+        arcs = _path_arcs(path)
         ps.place(arcs)
         sub = _search(ps, rest, code)
         ps.unplace(arcs)
         if sub is not None:
-            return [cyc] + sub
+            return [(req, path)] + sub
     if len(refuted) < MEMO_MAX_ENTRIES:
         refuted.add(key)
     return None
+
+
+def _stitch(placed: list[tuple[Requirement, tuple[int, ...]]]) -> list[Cycle]:
+    """The cycles of realized requirements: from a feedback arc f, its
+    path to the tail of the next arc g, then g's path, until the walk is
+    back at f.  One cycle per successor cycle, in placement order."""
+    step = {f: (g, path) for (f, g), path in placed}
+    cycles = []
+    for f in list(step):
+        cyc: list[int] = []
+        while f in step:
+            g, path = step.pop(f)
+            cyc.append(f[0])
+            cyc.extend(path[:-1])
+            f = g
+        if cyc:
+            cycles.append(tuple(cyc))
+    return cycles
 
 
 def _decide(d: Digraph, fas: frozenset[Arc], slack: int, tracker: _Tracker) -> list[Cycle] | None:
@@ -452,9 +414,12 @@ def _decide(d: Digraph, fas: frozenset[Arc], slack: int, tracker: _Tracker) -> l
 
     Exhaustive over the shapes such a packing can have.  Slack 0: every
     FAS arc used exactly once.  Slack 1: one FAS arc unused entirely
-    (tried in sorted order), or one cycle through exactly two FAS arcs
-    (in ``combinations`` order).  All shapes search one path system: a
-    refuted search leaves its availability as it found it.
+    (tried in sorted order), or one cycle through exactly two FAS arcs f
+    and g (in ``combinations`` order), the requirements (f, g) and (g, f):
+    their paths may share vertices only when a shape before them would
+    have succeeded (module docstring), so the cycles stitched are simple.
+    All shapes search one path system: a refuted search leaves its
+    availability as it found it.
     """
     rows = list(d.out)
     for u, v in fas:
@@ -465,21 +430,21 @@ def _decide(d: Digraph, fas: frozenset[Arc], slack: int, tracker: _Tracker) -> l
     ps = _PathSystem(d.n, rows, topo, tracker)
     ordered = sorted(fas)
     if slack == 0:
-        shapes: Iterable[list[tuple]] = [[("s", f) for f in ordered]]
+        shapes: Iterable[list[Requirement]] = [[(f, f) for f in ordered]]
     else:
         shapes = chain(
-            ([("s", h) for h in ordered if h != skip] for skip in ordered),
+            ([(h, h) for h in ordered if h != skip] for skip in ordered),
             (
-                [("c", f, g)] + [("s", h) for h in ordered if h != f and h != g]
+                [(f, g), (g, f)] + [(h, h) for h in ordered if h != f and h != g]
                 for f, g in combinations(ordered, 2)
                 # A simple cycle cannot leave or enter the same vertex twice.
                 if f[0] != g[0] and f[1] != g[1]
             ),
         )
     for reqs in shapes:
-        sol = _solve_requirements(ps, reqs)
-        if sol is not None:
-            return sol
+        placed = _solve_requirements(ps, reqs)
+        if placed is not None:
+            return _stitch(placed)
     return None
 
 

@@ -145,18 +145,16 @@ def subset_costs_reference(d: Digraph) -> array:
     return f
 
 
-def path_counts_reference(rows: list[int], src: int, forbid: int = 0) -> list[int]:
+def path_counts_reference(rows: list[int], src: int) -> list[int]:
     """For every vertex t, the number of directed src->t paths on the
-    arcs of the DAG with out-rows ``rows`` whose interior avoids the
-    vertices of ``forbid``: one sweep in topological order from ``src``.
-    Endpoints are always allowed, and ``counts[src]`` is 1."""
+    arcs of the DAG with out-rows ``rows``: one sweep in topological
+    order from ``src``.  ``counts[src]`` is 1."""
     topo = topological_order(Digraph(len(rows), list(rows)))
     counts = [0] * len(rows)
     counts[src] = 1
-    blocked = forbid & ~(1 << src)
     for v in topo[topo.index(src) :]:
         c = counts[v]
-        if c and not blocked >> v & 1:
+        if c:
             m = rows[v]
             while m:
                 low = m & -m
@@ -169,21 +167,20 @@ def state_key_reference(ps, reqs: list[tuple]) -> int:
     """One int for (available arcs of the path system ``ps``, multiset
     of requirements ``reqs``).
 
-    From the low bits up: ``n`` in 7 bits, the ``n`` rows of ``n`` bits
-    each, then the sorted requirement codes, each nonzero and in
-    ``width`` bits, so distinct states never share a key.
+    A requirement (f, f) with f = (x, y) is coded by f; any other (f, g)
+    by the ends of its path, the head of f and the tail of g.  From the
+    low bits up: ``n`` in 7 bits, the ``n`` rows of ``n`` bits each,
+    then the sorted requirement codes, each nonzero and in ``width``
+    bits, so distinct states never share a key.
     """
     n = ps.n
-    n2 = n * n
     width = 4 * n.bit_length() + 1
     codes = []
-    for req in reqs:
-        x, y = req[1]
-        if req[0] == "s":
-            codes.append(1 + x * n + y)
+    for f, g in reqs:
+        if f == g:
+            codes.append(1 + f[0] * n + f[1])
         else:
-            u, w = req[2]
-            codes.append(1 + n2 + (x * n + y) * n2 + u * n + w)
+            codes.append(1 + n * n + f[1] * n + g[0])
     key = 0
     for code in sorted(codes):
         key = key << width | code
@@ -195,21 +192,19 @@ def state_key_reference(ps, reqs: list[tuple]) -> int:
 def state_key_fresh(ps, reqs: list[tuple]) -> int:
     """The path-system search's memo key of (``ps.avail``, distinct
     ``reqs``), built arc by arc from the rows: one bit per available arc,
-    then one bit per single-arc requirement's arc position, then the code
-    of the two-arc requirement."""
+    then one bit per (f, f) requirement at f's arc position, then one
+    bit per other (f, g) at the position of its path's ends."""
     n = ps.n
     n2 = n * n
     key = 0
     for u, row in enumerate(ps.avail):
         for v in bits(row):
             key |= 1 << u * n + v
-    for req in reqs:
-        x, y = req[1]
-        if req[0] == "s":
-            key |= 1 << n2 + x * n + y
+    for f, g in reqs:
+        if f == g:
+            key |= 1 << n2 + f[0] * n + f[1]
         else:
-            u, w = req[2]
-            key |= 1 + (x * n + y) * n2 + u * n + w << 2 * n2
+            key |= 1 << 2 * n2 + f[1] * n + g[0]
     return key
 
 

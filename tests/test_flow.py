@@ -307,6 +307,14 @@ class TestOneFlowPerQuery:
                 min_arc_cover_through(paper_T11, 0)
         assert searches == [0]
 
+    def test_flow_rows_short_of_the_value_raise(self, paper_T11, monkeypatch):
+        # value 1 but no flow arc out of v0: the decomposition walk has
+        # nowhere to go and must say so rather than spin
+        empty = (0,) * (paper_T11.n + 1)
+        monkeypatch.setattr(flow, "_max_flow", lambda d, v0: (1, empty, empty, 0))
+        with pytest.raises(RuntimeError, match="no arc out of 0"):
+            max_cycles_through(paper_T11, 0)
+
 
 def _graphs():
     n = st.integers(8, 40)

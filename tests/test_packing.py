@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,14 +24,11 @@ from arcpack.packing import (
     _all_simple_paths,
     _decide,
     _find_general,
-    _avoiding_paths,
-    _paths,
     _PathSystem,
-    _requirement_placements,
     _search,
     _solve_requirements,
+    _stitch,
     _Tracker,
-    _two_arc_count,
     count_triangles_through,
     cycle_arcs,
     greedy_short_cycles,
@@ -273,6 +269,11 @@ class TestEdgesOfThePipeline:
             assert is_valid_packing(d, greedy_short_cycles(d))
 
 
+def _paths(table, n, a, b):
+    """Number of a->b paths in a ``path_table`` of an ``n``-vertex DAG."""
+    return table[a] >> b * n & (1 << n) - 1
+
+
 def _dag_system(n, arcs):
     d = Digraph.from_arcs(n, arcs)
     topo = topological_order(d)
@@ -295,11 +296,10 @@ class TestPathSystem:
         for ps in _random_dag_systems(rng):
             n = ps.n
             src = rng.randrange(n)
-            forbid = rng.getrandbits(n)
-            counts = path_counts_reference(ps.avail, src, forbid)
+            counts = path_counts_reference(ps.avail, src)
             table = ps.path_table()
             for dst in range(n):
-                paths = list(ps.iter_paths(table, src, dst, forbid))
+                paths = list(ps.iter_paths(table, src, dst))
                 assert counts[dst] == len(paths)
                 assert len(set(paths)) == len(paths)
                 assert paths == sorted(paths)
@@ -319,19 +319,6 @@ class TestPathSystem:
                 for a in range(n):
                     counts = path_counts_reference(ps.avail, a)
                     assert [_paths(table, n, a, b) for b in range(n)] == counts
-                    # every overlap of endpoints and avoided vertices
-                    for z1 in range(n):
-                        for z2 in range(z1, n):
-                            forbid = (1 << z1) | (1 << z2)
-                            counts = path_counts_reference(ps.avail, a, forbid)
-                            for b in range(n):
-                                assert _avoiding_paths(table, n, a, b, z1, z2) == counts[b]
-                                assert _avoiding_paths(table, n, a, b, z2, z1) == counts[b]
-                for _ in range(40):
-                    x, y, u, w = (rng.randrange(n) for _ in range(4))
-                    c1 = path_counts_reference(ps.avail, y, (1 << x) | (1 << w))[u]
-                    c2 = path_counts_reference(ps.avail, w, (1 << y) | (1 << u))[x]
-                    assert _two_arc_count(table, n, ("c", (x, y), (u, w))) == c1 * c2
 
     def test_widest_field(self):
         # 2**(n-2) paths from first to last, the most a DAG has: the
@@ -374,82 +361,49 @@ class TestPathSystem:
         ps.unplace([(0, 1), (1, 2)])
         assert (ps.avail, ps.flat) == before
 
-    def test_forbid_blocks_interior_only(self):
-        ps = _dag_system(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-        table = ps.path_table()
-        assert _paths(table, 4, 0, 3) == 2
-        assert _avoiding_paths(table, 4, 0, 3, 1, 1) == 1
-        assert _avoiding_paths(table, 4, 0, 3, 1, 2) == 0
-        # forbidding an endpoint has no effect
-        assert _avoiding_paths(table, 4, 0, 3, 0, 3) == 2
-
 
 class TestRequirements:
     def test_single_requirement_realizations(self):
+        # (f, f) with f = 2 -> 0 is one path 0 ~> 2; the first in
+        # lexicographic order is taken
         ps = _dag_system(3, [(0, 1), (1, 2), (0, 2)])
-        placements = list(_requirement_placements(ps, ps.path_table(), ("s", (2, 0))))
-        assert sorted(cyc for _, cyc in placements) == [(2, 0), (2, 0, 1)]
-        assert _paths(ps.path_table(), 3, 0, 2) == 2
+        f = (2, 0)
+        placed = _solve_requirements(ps, [(f, f)])
+        assert placed == [((f, f), (0, 1, 2))]
+        assert _stitch(placed) == [(2, 0, 1)]
 
     def test_composite_requirement_realizations(self):
-        # cycle through both 4->0 and 3->2: 0~>3 avoiding {4,2}, then
-        # 2~>4 avoiding the first path
+        # a cycle through 4 -> 0 and 3 -> 2: a path 0 ~> 3 and a path
+        # 2 ~> 4, the one with fewer paths placed first
         ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
-        req = ("c", (4, 0), (3, 2))
-        assert _two_arc_count(ps.path_table(), 5, req) == 2
-        before = list(ps.avail)
-        placements = list(_requirement_placements(ps, ps.path_table(), req))
-        assert ps.avail == before  # the walks reserve nothing
-        got = sorted((cyc, tuple(sorted(arcs))) for arcs, cyc in placements)
-        assert got == [
-            ((4, 0, 1, 3, 2), ((0, 1), (1, 3), (2, 4))),
-            ((4, 0, 3, 2), ((0, 3), (2, 4))),
-        ]
+        f, g = (4, 0), (3, 2)
+        placed = _solve_requirements(ps, [(f, g), (g, f)])
+        assert placed == [((g, f), (2, 4)), ((f, g), (0, 1, 3))]
+        assert _stitch(placed) == [(3, 2, 4, 0, 1)]
 
     def test_composite_with_no_realization(self):
-        # the only route 0~>2 runs through vertex 1, which the second
-        # feedback arc forbids
+        # a cycle through 3 -> 0 and 2 -> 1 needs a path 1 ~> 3
         ps = _dag_system(4, [(0, 1), (1, 2)])
-        req = ("c", (3, 0), (2, 1))
-        assert _two_arc_count(ps.path_table(), 4, req) == 0
-        assert list(_requirement_placements(ps, ps.path_table(), req)) == []
+        f, g = (3, 0), (2, 1)
+        assert _solve_requirements(ps, [(f, g), (g, f)]) is None
 
-    def test_two_arc_placements_match_counts(self):
-        # A cycle through x -> y and u -> w: for every first path
-        # p1 = y ~> u avoiding {x, w}, one placement per second path
-        # w ~> x avoiding every vertex of p1, and no arc used twice.
-        rng = random.Random(13)
-        placed = 0
-        for ps in _random_dag_systems(rng):
-            n = ps.n
-            table = ps.path_table()
-            for _ in range(20):
-                x, y, u, w = (rng.randrange(n) for _ in range(4))
-                if x == y or u == w or x == u or y == w:
-                    continue
-                per_first = Counter()
-                for arcs, cyc in _requirement_placements(ps, table, ("c", (x, y), (u, w))):
-                    assert len(set(arcs)) == len(arcs)
-                    assert all(ps.avail[a] >> b & 1 for a, b in arcs)
-                    per_first[cyc[1 : cyc.index(u) + 1]] += 1
-                forbid = (1 << x) | (1 << w)
-                firsts = list(ps.iter_paths(table, y, u, forbid))
-                assert len(firsts) == path_counts_reference(ps.avail, y, forbid)[u]
-                assert set(per_first) <= set(firsts)
-                for p1 in firsts:
-                    mask = sum(1 << v for v in p1)
-                    assert per_first[p1] == path_counts_reference(ps.avail, w, mask)[x]
-                placed += sum(per_first.values())
-        assert placed > 0
+    def test_pair_paths_may_share_a_vertex(self):
+        # both paths run through vertex 1, on different arcs: the search
+        # accepts it, and the walk it stitches repeats 1
+        ps = _dag_system(5, [(0, 1), (1, 3), (2, 1), (1, 4)])
+        f, g = (4, 0), (3, 2)
+        placed = _solve_requirements(ps, [(f, g), (g, f)])
+        assert _stitch(placed) == [(4, 0, 1, 3, 2, 1)]
 
     def test_solver_realizes_disjointly(self):
         # two requirements share vertex 1 but must split its arcs
         ps = _dag_system(
             5, [(0, 1), (1, 4), (2, 1), (1, 3), (0, 4), (2, 3)]
         )
-        reqs = [("s", (4, 0)), ("s", (3, 2))]
-        sol = _solve_requirements(ps, reqs)
-        assert sol is not None
+        reqs = [((4, 0), (4, 0)), ((3, 2), (3, 2))]
+        placed = _solve_requirements(ps, reqs)
+        assert placed is not None
+        sol = _stitch(placed)
         d_closed = Digraph.from_arcs(
             5,
             [(0, 1), (1, 4), (2, 1), (1, 3), (0, 4), (2, 3), (4, 0), (3, 2)],
@@ -460,12 +414,12 @@ class TestRequirements:
     def test_solver_refutes(self):
         # both requirements need the arc 0->1
         ps = _dag_system(3, [(0, 1), (1, 2)])
-        reqs = [("s", (1, 0)), ("s", (2, 0))]
+        reqs = [((1, 0), (1, 0)), ((2, 0), (2, 0))]
         assert _solve_requirements(ps, reqs) is None
         # the refutation is remembered, but the first alone is feasible:
         # the memo key tells the two states apart
         assert len(ps.tracker.refuted) == 1
-        assert _solve_requirements(ps, reqs[:1]) == [(1, 0)]
+        assert _solve_requirements(ps, reqs[:1]) == [(reqs[0], (0, 1))]
 
     def test_refuted_search_restores_availability(self, paper_T7):
         # Every shape of one decider call searches the same path system,
@@ -473,24 +427,18 @@ class TestRequirements:
         fr = min_feedback_arc_set(paper_T7)
         ps = _dag_system(7, [a for a in paper_T7.arcs() if a not in fr.arcs])
         before = list(ps.avail), ps.flat
-        reqs = [("s", f) for f in sorted(fr.arcs)]
+        reqs = [(f, f) for f in sorted(fr.arcs)]
         assert _solve_requirements(ps, reqs) is None  # nu < tau
         assert ps.tracker.nodes > 0  # arcs were placed on the way
         assert (ps.avail, ps.flat) == before
 
-    def test_one_two_arc_requirement_at_most(self):
-        ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
-        reqs = [("c", (4, 0), (3, 2)), ("c", (3, 2), (4, 0))]
-        with pytest.raises(ValueError, match="at most one two-arc requirement"):
-            _solve_requirements(ps, reqs)
-
     @pytest.mark.parametrize(
         "reqs,message",
         [
-            ([("s", (3, 0)), ("s", (3, 0))], "must be distinct"),
-            ([("c", (4, 0), (3, 2))] * 2, "must be distinct"),
-            ([("c", (4, 0), (4, 2))], "share a tail or a head"),
-            ([("c", (4, 0), (3, 0))], "share a tail or a head"),
+            ([((3, 0), (3, 0))] * 2, "must be distinct"),
+            ([((4, 0), (3, 2))] * 2, "must be distinct"),
+            # two paths 0 ~> 3, through different feedback arcs: one bit
+            ([((4, 0), (3, 2)), ((2, 0), (3, 1))], "must be distinct"),
         ],
     )
     def test_repeated_or_clashing_requirements_raise(self, reqs, message):
@@ -522,6 +470,55 @@ class TestDeciders:
         sol = _decide(paper_T11, fr.arcs, 0, _Tracker(Budget()))
         assert sol is not None and len(sol) == 17
         assert is_valid_packing(paper_T11, sol)
+
+
+# random_tournament(11, seed) with nu = tau - 1, where only a shape with
+# one cycle through two feedback arcs settles it: (tau, certificate).
+PAIR_SETTLED = {
+    4604: (15, [
+        (0, 3, 4), (0, 8, 1), (1, 5, 2, 3), (1, 6, 2), (1, 10, 4), (2, 8, 4), (2, 9, 7),
+        (3, 6, 5), (3, 9, 8), (3, 10, 7), (4, 5, 7), (5, 10, 8), (6, 8, 7), (6, 10, 9),
+    ]),
+    13466: (16, [
+        (0, 2, 4), (0, 3, 8, 9), (0, 6, 5), (0, 10, 8), (1, 5, 3), (1, 6, 9), (1, 8, 7),
+        (1, 10, 4), (2, 5, 8), (2, 7, 3), (3, 9, 4), (3, 10, 6), (4, 5, 7), (4, 8, 6),
+        (7, 9, 10),
+    ]),
+    20519: (15, [
+        (0, 1, 7), (0, 3, 4), (0, 6, 2), (0, 9, 5), (1, 3, 6), (1, 4, 8), (1, 10, 5),
+        (2, 3, 8), (2, 5, 4), (2, 10, 9), (3, 5, 7), (4, 10, 6), (5, 8, 6), (6, 9, 7),
+    ]),
+}
+
+
+class TestPairShapes:
+    @pytest.mark.parametrize("seed", sorted(PAIR_SETTLED))
+    def test_pair_settled_tournaments(self, seed):
+        tau, cycles = PAIR_SETTLED[seed]
+        t = random_tournament(11, seed)
+        fas = min_feedback_arc_set(t).arcs
+        rep = max_cycle_packing(t)
+        assert (len(fas), rep.optimal, rep.value) == (tau, True, tau - 1)
+        assert list(rep.cycles) == cycles
+        through_two = [c for c in rep.cycles if len(fas.intersection(cycle_arcs(c))) == 2]
+        assert len(through_two) == 1
+
+    def test_shape_order_carries_the_proof(self, monkeypatch):
+        # Two triangles through vertex 2, one feedback arc on each.  The
+        # pair shape's paths 1 ~> 3 and 4 ~> 0 both pass 2, which is sound
+        # only because a shape with an unused arc succeeds first.
+        d = Digraph.from_arcs(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 2), (2, 3)])
+        fas = frozenset({(0, 1), (3, 4)})
+        assert _decide(d, fas, 1, _Tracker(Budget())) == [(3, 4, 2)]
+        real = packing._solve_requirements
+
+        def pairs_only(ps, reqs):
+            return None if all(f == g for f, g in reqs) else real(ps, reqs)
+
+        monkeypatch.setattr(packing, "_solve_requirements", pairs_only)
+        walk = _decide(d, fas, 1, _Tracker(Budget()))
+        assert walk == [(0, 1, 2, 3, 4, 2)]
+        assert "repeats a vertex" in packing_violation(d, walk)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_packings.json").read_text())
@@ -630,8 +627,8 @@ class TestMemoKey:
 
     def test_random_systems_with_distinct_requirements(self, monkeypatch):
         # Decider-like systems: a random tournament minus a minimum FAS,
-        # with all of the FAS or all but one arc as single-arc
-        # requirements, half of them with two merged into a two-arc one.
+        # with all of the FAS or all but one arc as (f, f) requirements,
+        # half of them with two arcs f, g on one cycle: (f, g) and (g, f).
         rng = random.Random(41)
         hits = pairs = 0
         for _ in range(80):
@@ -642,10 +639,10 @@ class TestMemoKey:
                 continue
             ps = _dag_system(n, [a for a in d.arcs() if a not in fas])
             chosen = rng.sample(fas, len(fas) - rng.randrange(2))
-            reqs = [("s", f) for f in chosen]
+            reqs = [(f, f) for f in chosen]
             f, g = rng.sample(fas, 2)
             if rng.random() < 0.5 and f[0] != g[0] and f[1] != g[1]:
-                reqs = [("c", f, g)] + [("s", h) for h in chosen if h != f and h != g]
+                reqs = [(f, g), (g, f)] + [(h, h) for h in chosen if h != f and h != g]
                 pairs += 1
             seen = _record_keys(monkeypatch)
             _solve_requirements(ps, reqs)
@@ -654,14 +651,14 @@ class TestMemoKey:
         assert hits > 0 and pairs > 0
 
     def test_two_arc_requirement_against_its_two_single_arcs(self, monkeypatch):
-        # [c(f, g)] and [s(f), s(g)] at the same availability are
-        # different states: one cycle through both arcs, or two cycles
+        # [(f, g), (g, f)] and [(f, f), (g, g)] at the same availability
+        # are different states: one cycle through both arcs, or two cycles
         ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
         f, g = (4, 0), (3, 2)
         seen = _record_keys(monkeypatch)
-        assert _solve_requirements(ps, [("s", f), ("s", g)]) is None  # no 0 ~> 4 path
+        assert _solve_requirements(ps, [(f, f), (g, g)]) is None  # no 0 ~> 4 path
         first = len(seen)
-        assert len(_solve_requirements(ps, [("c", f, g)])) == 1
+        assert len(_stitch(_solve_requirements(ps, [(f, g), (g, f)]))) == 1
         _assert_keys_agree(seen)
         single, pair = seen[0], seen[first]
         assert single[0] != pair[0] and single[2] != pair[2]
@@ -674,7 +671,7 @@ class TestMemoKey:
         assert _decide(d, fr.arcs, 1, tracker) is None  # every shape refuted
         _assert_keys_agree(seen)
         pair_at = 2 * d.n * d.n
-        assert any(kept >> pair_at for kept, *_ in seen)  # two-arc shapes visited
+        assert any(kept >> pair_at for kept, *_ in seen)  # pair shapes visited
         assert tracker.hits > 0
 
 
@@ -697,7 +694,7 @@ class TestMemoAcrossFeedbackSets:
         tracker = _Tracker(Budget())
         assert _decide(d, fr.arcs, 0, tracker) is None
         assert _decide(d, fr.arcs, 1, tracker) is None
-        assert (len(tracker.refuted), tracker.nodes) == (336, 510)
+        assert (len(tracker.refuted), tracker.nodes) == (383, 579)
         fresh = _find_general(d, 8, _Tracker(Budget()))
         decided = []
 
@@ -708,7 +705,7 @@ class TestMemoAcrossFeedbackSets:
         monkeypatch.setattr(packing, "_decide", recording)
         sol = _find_general(d, 8, tracker)
         assert sol == fresh and len(sol) == 8 and is_valid_packing(d, sol)
-        assert (tracker.nodes, len(tracker.refuted)) == (510 + 49, 344)
+        assert (tracker.nodes, len(tracker.refuted)) == (579 + 49, 391)
         assert decided == [6]
 
 
