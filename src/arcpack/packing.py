@@ -1,30 +1,30 @@
 """Exact maximum arc-disjoint cycle packings.
 
-The packing number of a digraph never exceeds its minimum feedback arc
-set size: every cycle must use at least one arc of any feedback arc set
-``F``, and the cycles are arc-disjoint.  The solver exploits how tight
-that pigeonhole is:
+The packing number of a digraph never exceeds the size of any feedback
+arc set ``F``: every cycle must use at least one arc of ``F``, and the
+cycles are arc-disjoint.  The solver measures a packing of ``k`` cycles
+by its slack ``|F| - k``: an arc of ``F`` that no cycle uses costs 1,
+and a cycle through ``j`` arcs of ``F`` costs ``j - 1``.
 
-* A packing of size ``tau`` forces every cycle to use exactly one arc of
-  ``F``, with all of ``F`` used.  Each cycle is then one arc ``x -> y``
-  of ``F`` plus an ``F``-avoiding path ``y -> x``, and ``D - F`` is
-  acyclic, so deciding feasibility is an arc-disjoint path-system search
-  in a DAG.
-* A packing of size ``tau - 1`` has exactly two shapes: either one arc
-  of ``F`` is unused entirely, or a single cycle passes through two arcs
-  ``f`` and ``g`` of ``F`` and the rest use one each.  The cycle through
-  two arcs is two paths, head of ``f`` to tail of ``g`` and head of
-  ``g`` to tail of ``f``, needing only to be arc-disjoint: if they met
-  at a vertex, the closed walk would split into a cycle through ``f``
-  and one through ``g``, a packing of size ``tau`` that the shapes with
-  an unused arc, tried first, have already refuted.
+* A packing of slack ``s`` has a shape: the arcs of ``F`` it leaves
+  unused, and the blocks of arcs that share a cycle, each in its cyclic
+  order.  Between consecutive arcs ``f`` and ``g`` of a cycle runs an
+  ``F``-avoiding path from the head of ``f`` to the tail of ``g``, and
+  ``D - F`` is acyclic, so realizing a shape is an arc-disjoint
+  path-system search in a DAG.  Over every shape that search is
+  exhaustive, so a failed search is a proof.
+* The paths of one cycle need only be arc-disjoint.  If two of them met
+  at a vertex, the closed walk would split into two closed walks, each
+  through an arc of ``F``: a packing of lower slack.  The slacks run
+  upward on one ``F``, so every lower slack has already been refuted,
+  and every cycle stitched together is simple.
 
-One decider, ``_decide``, searches that path system for a packing of
-size ``tau - slack`` with slack 0 or 1.  Both reductions are
-exhaustive, so a failed search is a proof.  Below ``tau - 1`` the
-solver falls back to branching on a feedback arc:
-either some cycle through it is in the packing, or the arc is unused and
-can be deleted (dropping the feedback bound by exactly one).
+One decider, ``_decide``, searches every shape of one slack, and
+``max_cycle_packing`` runs it at slack 0, 1, ... until a packing is
+found or the best one known is proved optimal.  ``F`` is a minimum
+feedback arc set from the DP when the graph is small enough for it, and
+otherwise a minimal one from a degree ordering; the search is exact
+either way.
 
 The path-system search is exhaustive, so its cost is what it visits:
 
@@ -41,18 +41,19 @@ The path-system search is exhaustive, so its cost is what it visits:
   vertices whose ``t`` field is nonzero.
 * Per solve it remembers the states it has refuted.  Whether a state is
   feasible depends only on the available arcs and on the ends of the
-  open paths, so one int holding a bit per available arc and a bit per
-  open requirement is a complete key (``_solve_requirements``).  The
-  key is kept up to date rather than rebuilt: reserving or releasing an
-  arc flips its bit, and realizing a requirement clears its bit, so a
-  node costs one int ``|`` for its key.  The memo lives on the solve's
-  ``_Tracker``, which lets every shape of every ``_decide`` call, those
-  under the general branch-and-bound included, share it.  Only
-  refutations are stored, so a hit prunes a branch that would fail
-  anyway and answers and certificates are the same as without it.
-  A state refuted because some requirement has no path at all is not
-  stored: counting again is cheaper.  At most ``MEMO_MAX_ENTRIES``
-  states are kept; later refutations are not stored.
+  open paths, so one int holding a bit per available arc, a bit per
+  open (f, f) and a count of the other open paths per pair of ends is
+  a complete key (``_solve_requirements``).  The key is kept up to date
+  rather than rebuilt: reserving or releasing an arc flips its bit, and
+  realizing a requirement takes its share off, so a node costs one int
+  ``|`` for its key.  The memo lives
+  on the solve's ``_Tracker``, which lets every shape of every slack
+  share it.  Only refutations are stored, so a hit prunes a branch that
+  would fail anyway and answers and certificates are the same as
+  without it.  A state refuted because some requirement has no path at
+  all is not stored: counting again is cheaper.  At most
+  ``MEMO_MAX_ENTRIES`` states are kept; later refutations are not
+  stored.
 
 All searches, the feedback arc set DP included, honor a node/time
 budget; when it runs out the best packing found so far is returned with
@@ -64,11 +65,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
-from .digraph import Arc, Digraph, bits, scc_masks, topological_order
-from .fas import DEADLINE_BLOCK, MAX_DP_VERTICES, BudgetExceeded, min_feedback_arc_set
+from .digraph import Arc, Digraph, _reachable, backward_arcs, bits, topological_order
+from .fas import MAX_DP_VERTICES, BudgetExceeded, min_feedback_arc_set
 
 Cycle = tuple[int, ...]
 
@@ -140,16 +141,14 @@ class PackingReport:
 class _Tracker:
     """Counts search nodes, enforces the budget, and holds the solve's
     memo of refuted path-system states.  A memo key does not record the
-    vertex count, so all path systems of one solve have the same ``n``:
-    ``_cyclic_restriction`` and ``without_arcs`` keep every vertex."""
+    vertex count, so all path systems of one solve have the same ``n``."""
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "polls", "refuted", "hits")
+    __slots__ = ("nodes", "max_nodes", "deadline", "refuted", "hits")
 
     def __init__(self, budget: Budget):
         self.nodes = 0
         self.max_nodes = budget.max_nodes
         self.deadline = time.perf_counter() + budget.max_secs
-        self.polls = 0
         self.refuted: set[int] = set()
         self.hits = 0
 
@@ -160,10 +159,10 @@ class _Tracker:
         self.poll()
 
     def poll(self) -> None:
-        """Check the deadline once per ``DEADLINE_BLOCK`` calls, ticks
-        included, without counting a node."""
-        self.polls += 1
-        if self.polls % DEADLINE_BLOCK == 0 and time.perf_counter() > self.deadline:
+        """Check the deadline without counting a node.  Every call reads
+        the clock: a node or a shape's root costs far more than that, and
+        up to a millisecond on 64 vertices."""
+        if time.perf_counter() > self.deadline:
             raise BudgetExceeded("time budget")
 
 
@@ -320,16 +319,21 @@ def _solve_requirements(
     return each with its path, in the order they were placed.
 
     The memo key of a state is ``ps.flat | code``, and ``_search``
-    clears one requirement's ``delta`` from ``code`` per realized one.
+    takes one requirement's ``delta`` off ``code`` per realized one.
     Bit ``u * n + v`` is the available arc (u, v), bit ``n * n + x * n +
-    y`` the open (f, f) with f = (x, y), and bit ``2 * n * n + y * n +
-    u`` an open (f, g) with f = (x, y) and g = (u, w) != f: its path's
-    two ends.  Whether a state is feasible depends only on the available
-    arcs and on the ends of the open paths, so the key is complete.  Two
-    requirements on one bit raise ``ValueError``.
+    y`` the open (f, f) with f = (x, y), and the ``w``-bit field at bit
+    ``2 * n * n + (y * n + u) * w``, with ``w`` the bit length of ``n``,
+    counts the open (f, g != f) with f = (x, y) and g = (u, v): the
+    paths from y to u.  Whether a state is feasible depends only on the
+    available arcs and on the ends of the open paths, so the key is
+    complete.  Two first arcs alike raise ``ValueError``; otherwise at
+    most ``n - 1`` open paths share their ends, and no field carries.
     """
+    if len({f for f, _ in reqs}) < len(reqs):
+        raise ValueError("first arcs of requirements must be distinct")
     n = ps.n
     n2 = n * n
+    width = n.bit_length()
     code = 0
     items = []
     for req in reqs:
@@ -337,10 +341,8 @@ def _solve_requirements(
         if req[0] == req[1]:
             delta = 1 << n2 + x * n + y
         else:
-            delta = 1 << 2 * n2 + y * n + u
-        if code & delta:
-            raise ValueError("requirements must be distinct")
-        code |= delta
+            delta = 1 << 2 * n2 + (y * n + u) * width
+        code += delta
         items.append((req, y, u * n, delta))
     return _search(ps, items, code)
 
@@ -408,18 +410,60 @@ def _stitch(placed: list[tuple[Requirement, tuple[int, ...]]]) -> list[Cycle]:
     return cycles
 
 
-def _decide(d: Digraph, fas: frozenset[Arc], slack: int, tracker: _Tracker) -> list[Cycle] | None:
-    """Packing of size ``len(fas) - slack`` where ``fas`` is a minimum FAS
-    and ``slack`` is 0 or 1.
+def _shapes(ordered: list[Arc], slack: int) -> Iterator[list[Requirement]]:
+    """The requirements of every shape of a packing of ``len(ordered) -
+    slack`` cycles through the sorted feedback arcs ``ordered``.
 
-    Exhaustive over the shapes such a packing can have.  Slack 0: every
-    FAS arc used exactly once.  Slack 1: one FAS arc unused entirely
-    (tried in sorted order), or one cycle through exactly two FAS arcs f
-    and g (in ``combinations`` order), the requirements (f, g) and (g, f):
-    their paths may share vertices only when a shape before them would
-    have succeeded (module docstring), so the cycles stitched are simple.
-    All shapes search one path system: a refuted search leaves its
-    availability as it found it.
+    The arcs left unused come first, ``slack`` of them down to none, in
+    ``combinations`` order.  The rest of the slack goes to ``_blocks``,
+    and a block b_0 .. b_(j-1) becomes the requirements (b_i, b_(i+1)),
+    the last one closing back to b_0; every other arc is (h, h).
+    """
+    for unused in range(slack, -1, -1):
+        for drop in combinations(ordered, unused):
+            rest = [h for h in ordered if h not in drop]
+            for blocks in _blocks(rest, slack - unused):
+                reqs = [(b[i], b[(i + 1) % len(b)]) for b in blocks for i in range(len(b))]
+                merged = {h for b in blocks for h in b}
+                yield reqs + [(h, h) for h in rest if h not in merged]
+
+
+def _blocks(arcs: list[Arc], budget: int) -> Iterator[list[tuple[Arc, ...]]]:
+    """Every set of disjoint blocks of ``arcs`` that spends ``budget``,
+    a block of ``j`` arcs costing ``j - 1``.
+
+    A block is the feedback arcs of one cycle in their cyclic order,
+    starting at its smallest arc, and the blocks come in the order of
+    their smallest arcs: so each set is made once.  A simple cycle
+    cannot leave or enter one vertex twice, so no two arcs of a block
+    share a tail or a head.
+    """
+    if budget == 0:
+        yield []
+        return
+    for i, first in enumerate(arcs):
+        later = arcs[i + 1 :]
+        for size in range(1, budget + 1):
+            for others in combinations(later, size):
+                members = (first,) + others
+                if len({a[0] for a in members}) <= size or len({a[1] for a in members}) <= size:
+                    continue
+                rest = [a for a in later if a not in others]
+                for order in permutations(others):
+                    for tail in _blocks(rest, budget - size):
+                        yield [(first,) + order] + tail
+
+
+def _decide(d: Digraph, fas: frozenset[Arc], slack: int, tracker: _Tracker) -> list[Cycle] | None:
+    """Packing of size ``len(fas) - slack``, where ``fas`` is a feedback
+    arc set and every smaller slack on it has already been refuted.
+
+    Exhaustive over the shapes such a packing can have (``_shapes``).
+    The paths of one cycle may share vertices only when a packing of a
+    smaller slack exists (module docstring), so the cycles stitched are
+    simple.  All shapes search one path system: a refuted search leaves
+    its availability as it found it.  A shape refuted at its root counts
+    no node, so the clock is polled once per shape.
     """
     rows = list(d.out)
     for u, v in fas:
@@ -428,104 +472,31 @@ def _decide(d: Digraph, fas: frozenset[Arc], slack: int, tracker: _Tracker) -> l
     if topo is None:
         raise RuntimeError(f"{sorted(fas)} is not a feedback arc set: a cycle remains")
     ps = _PathSystem(d.n, rows, topo, tracker)
-    ordered = sorted(fas)
-    if slack == 0:
-        shapes: Iterable[list[Requirement]] = [[(f, f) for f in ordered]]
-    else:
-        shapes = chain(
-            ([(h, h) for h in ordered if h != skip] for skip in ordered),
-            (
-                [(f, g), (g, f)] + [(h, h) for h in ordered if h != f and h != g]
-                for f, g in combinations(ordered, 2)
-                # A simple cycle cannot leave or enter the same vertex twice.
-                if f[0] != g[0] and f[1] != g[1]
-            ),
-        )
-    for reqs in shapes:
+    for reqs in _shapes(sorted(fas), slack):
+        tracker.poll()
         placed = _solve_requirements(ps, reqs)
         if placed is not None:
             return _stitch(placed)
     return None
 
 
-# -- general branch-and-bound below tau - 1 ---------------------------
-
-
-def _cyclic_restriction(d: Digraph) -> Digraph:
-    """Subgraph of the arcs that lie on at least one cycle: both endpoints
-    in the same strongly connected component."""
-    comp_of = [0] * d.n
-    for mask in scc_masks(d):
-        for v in bits(mask):
-            comp_of[v] = mask
-    return Digraph(d.n, [d.out[v] & comp_of[v] for v in range(d.n)])
-
-
-def _counting_bound(d: Digraph) -> int:
-    """Cheap upper bound on the packing size of a cyclic-only graph."""
-    m = d.arc_count()
-    if m == 0:
-        return 0
-    has_two = any(d.out[v] & d.inn[v] for v in range(d.n))
-    denom = 2 if has_two else 3
-    degree_sum = sum(min(d.out_degree(v), d.in_degree(v)) for v in range(d.n))
-    return min(m // denom, degree_sum // denom)
-
-
-def _all_simple_paths(d: Digraph, src: int, dst: int, tracker: _Tracker) -> list[tuple[int, ...]]:
-    """Every simple src->dst path, sorted shortest first then lexicographic."""
-    out = d.out
-    found: list[tuple[int, ...]] = []
-    path = [src]
-
-    def rec(v: int, visited: int) -> None:
-        tracker.poll()
-        if v == dst:
-            tracker.tick()
-            found.append(tuple(path))
-            return
-        for w in bits(out[v] & ~visited):
-            path.append(w)
-            rec(w, visited | (1 << w))
-            path.pop()
-
-    # dst stays allowed; src may not be revisited
-    rec(src, (1 << src) | 0)
-    found.sort(key=lambda p: (len(p), p))
-    return found
-
-
-def _find_general(d: Digraph, k: int, tracker: _Tracker) -> list[Cycle] | None:
-    """Find ``k`` arc-disjoint cycles, or prove there are none.
-
-    Branches on one arc ``f`` of a minimum FAS: either some cycle of the
-    packing passes through ``f`` (all simple cycles through it are
-    tried), or no cycle uses ``f`` and it can be deleted, which lowers
-    the feedback bound by exactly one.  When ``k`` reaches the bound the
-    exhaustive path-system deciders take over.
-    """
-    if k == 0:
-        return []
-    dc = _cyclic_restriction(d)
-    if _counting_bound(dc) < k:
-        return None
-    if dc.n <= MAX_DP_VERTICES:
-        fr = min_feedback_arc_set(dc, deadline=tracker.deadline)
-        if fr.tau < k:
-            return None
-        if k >= fr.tau - 1:
-            return _decide(dc, fr.arcs, fr.tau - k, tracker)
-        branch = min(fr.arcs)
-    else:
-        branch = next((u, v) for u in range(dc.n) for v in bits(dc.out[u]))
-    x, y = branch
-    for path in _all_simple_paths(dc, y, x, tracker):
-        tracker.tick()
-        cyc = (x,) + path[:-1]
-        sol = _find_general(dc.without_arcs(cycle_arcs(cyc)), k - 1, tracker)
-        if sol is not None:
-            return [cyc] + sol
-    return _find_general(dc.without_arcs([branch]), k, tracker)
+def _minimal_feedback_arc_set(d: Digraph) -> frozenset[Arc]:
+    """A feedback arc set found without the DP: the backward arcs of the
+    vertices ordered by out-degree, highest first, then less every arc,
+    in sorted order, whose return leaves the rest acyclic: its head does
+    not reach its tail."""
+    ordering = sorted(range(d.n), key=d.out_degree, reverse=True)
+    rows = list(d.out)
+    backward = sorted(backward_arcs(d, ordering))
+    for u, v in backward:
+        rows[u] &= ~(1 << v)
+    fas = []
+    for u, v in backward:
+        if _reachable(rows, v) >> u & 1:
+            fas.append((u, v))
+        else:
+            rows[u] |= 1 << v
+    return frozenset(fas)
 
 
 # -- greedy seed ------------------------------------------------------
@@ -567,10 +538,12 @@ def greedy_short_cycles(d: Digraph) -> list[Cycle]:
 def max_cycle_packing(d: Digraph, budget: Budget | None = None) -> PackingReport:
     """Maximum number of pairwise arc-disjoint directed cycles.
 
-    Exact for every graph small enough for the feedback-arc DP
-    (n <= ``MAX_DP_VERTICES``, 24); above that only counting bounds steer
-    the search and optimality is rarely proven.  See the module docstring for the
-    search strategy.
+    Refutes slack 0, 1, ... against one feedback arc set until a packing
+    is found or the best one known meets the ceiling.  Up to
+    ``MAX_DP_VERTICES`` (24) vertices the set is a minimum one from the
+    DP and the ceiling is tau; above that the set is
+    ``_minimal_feedback_arc_set`` and the ceiling its size, which may lie
+    far above the answer.  See the module docstring for the search.
     """
     if budget is None:
         budget = Budget.from_env()
@@ -579,25 +552,21 @@ def max_cycle_packing(d: Digraph, budget: Budget | None = None) -> PackingReport
     best: list[Cycle] = greedy_short_cycles(d)
     stop_reason = "optimal"
     try:
-        ceiling = None  # known upper bound on the packing number
         if d.n <= MAX_DP_VERTICES:
             fr = min_feedback_arc_set(d, deadline=tracker.deadline)
-            ceiling = fr.tau
-            if len(best) < ceiling:
-                for slack in (0, 1):
-                    sol = _decide(d, fr.arcs, slack, tracker)
-                    if sol is not None:
-                        best = sol
-                        break
-                    ceiling -= 1
-        # climb from the best packing so far up to the ceiling
-        k = len(best) + 1
-        while ceiling is None or k <= ceiling:
-            sol = _find_general(d, k, tracker)
-            if sol is None:
+            fas, ceiling = fr.arcs, fr.tau
+        else:
+            fas = _minimal_feedback_arc_set(d)
+            ceiling = len(fas)
+        # tau, not len(fas), so that a set that is not a feedback arc set
+        # still reaches the decider's check
+        slack = 0
+        while ceiling - slack > len(best):
+            sol = _decide(d, fas, slack, tracker)
+            if sol is not None:
+                best = sol
                 break
-            best = sol
-            k += 1
+            slack += 1
     except BudgetExceeded as exc:
         stop_reason = exc.reason
     cycles = tuple(sorted(normalize_cycle(c) for c in best))

@@ -190,12 +190,14 @@ def state_key_reference(ps, reqs: list[tuple]) -> int:
 
 
 def state_key_fresh(ps, reqs: list[tuple]) -> int:
-    """The path-system search's memo key of (``ps.avail``, distinct
-    ``reqs``), built arc by arc from the rows: one bit per available arc,
-    then one bit per (f, f) requirement at f's arc position, then one
-    bit per other (f, g) at the position of its path's ends."""
+    """The path-system search's memo key of (``ps.avail``, ``reqs`` with
+    distinct first arcs), built arc by arc from the rows: one bit per
+    available arc, then one bit per (f, f) requirement at f's arc
+    position, then a count of the other (f, g) per pair of path ends, in
+    a field as wide as ``n`` in bits."""
     n = ps.n
     n2 = n * n
+    width = n.bit_length()
     key = 0
     for u, row in enumerate(ps.avail):
         for v in bits(row):
@@ -204,7 +206,7 @@ def state_key_fresh(ps, reqs: list[tuple]) -> int:
         if f == g:
             key |= 1 << n2 + f[0] * n + f[1]
         else:
-            key |= 1 << 2 * n2 + f[1] * n + g[0]
+            key += 1 << 2 * n2 + (f[1] * n + g[0]) * width
     return key
 
 

@@ -21,9 +21,7 @@ from arcpack.packing import (
     Budget,
     BudgetExceeded,
     PackingReport,
-    _all_simple_paths,
     _decide,
-    _find_general,
     _PathSystem,
     _search,
     _solve_requirements,
@@ -44,6 +42,7 @@ from oracles import (
     nu_set_packing,
     path_counts_reference,
     random_digraph,
+    relabel,
     state_key_fresh,
     state_key_reference,
     triangle_count_through,
@@ -177,6 +176,20 @@ class TestOracleEquivalence:
             packing_bruteforce(Digraph(8, [0] * 8))
 
 
+def _ten_triangles():
+    """Ten disjoint triangles on 30 vertices, over the DP cap."""
+    arcs = []
+    for i in range(10):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        arcs += [(a, b), (b, c), (c, a)]
+    return Digraph.from_arcs(30, arcs)
+
+
+def _long_cycle():
+    """One cycle through all of 30 vertices."""
+    return Digraph.from_arcs(30, [(v, (v + 1) % 30) for v in range(30)])
+
+
 class TestEdgesOfThePipeline:
     def test_acyclic_graph(self):
         d = Digraph.from_arcs(4, [(0, 1), (1, 2), (0, 3)])
@@ -189,21 +202,28 @@ class TestEdgesOfThePipeline:
         assert rep.value == 1 and rep.optimal
 
     def test_beyond_dp_cap_disjoint_triangles(self):
-        # 30 vertices forces the general climb; counting bound closes it
-        arcs = []
-        for i in range(10):
-            a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
-            arcs += [(a, b), (b, c), (c, a)]
-        d = Digraph.from_arcs(30, arcs)
-        rep = max_cycle_packing(d)
+        # 30 vertices is over the DP cap: the degree ordering's feedback
+        # arc set, one arc per triangle, is the ceiling the greedy meets
+        rep = max_cycle_packing(_ten_triangles())
         assert rep.value == 10 and rep.optimal
 
     def test_beyond_dp_cap_single_cycle(self):
-        # no tau ceiling: the first-arc branch finds the cycle, and the
-        # counting bound refutes a second
-        d = Digraph.from_arcs(30, [(v, (v + 1) % 30) for v in range(30)])
-        rep = max_cycle_packing(d)
+        # the feedback arc set is one arc, and slack 0 finds the cycle
+        rep = max_cycle_packing(_long_cycle())
         assert (rep.value, rep.cycles, rep.optimal) == (1, (tuple(range(30)),), True)
+
+    @pytest.mark.parametrize("make", [_ten_triangles, _long_cycle])
+    def test_beyond_dp_cap_relabeled(self, make):
+        # Relabeled, the degree ordering puts two backward arcs on some
+        # cycles; the set is made minimal, so its size stays the answer
+        # and no slack above 0 is searched.
+        d = make()
+        rng = random.Random(3)
+        for _ in range(5):
+            g = relabel(d, rng.sample(range(d.n), d.n))
+            rep = max_cycle_packing(g, Budget(max_secs=10))
+            assert (rep.value, rep.optimal) == (max_cycle_packing(d).value, True)
+            assert is_valid_packing(g, rep.cycles)
 
     def test_beyond_dp_cap_acyclic(self):
         rep = max_cycle_packing(transitive_tournament(30))
@@ -239,15 +259,15 @@ class TestEdgesOfThePipeline:
         assert (rep.optimal, rep.stop_reason) == (False, "time budget")
         assert rep.value > 0 and is_valid_packing(t, rep.cycles)
 
-    def test_simple_path_search_polls_the_clock(self):
-        # 9 mutually adjacent vertices and an unreachable target: the
-        # walk finds no path, so only the clock can stop it
-        arcs = [(u, v) for u in range(9) for v in range(9) if u != v]
-        d = Digraph.from_arcs(10, arcs)
+    def test_shape_loop_polls_the_clock(self):
+        # five arcs v + 1 -> v, all of them feedback arcs, and no arc left
+        # for a path: every slack-2 shape is refuted at its root without
+        # a node, so only the poll per shape stops the search
+        d = Digraph.from_arcs(10, [(2 * i + 1, 2 * i) for i in range(5)])
         tracker = _Tracker(Budget())
         tracker.deadline = 0.0
         with pytest.raises(BudgetExceeded) as info:
-            _all_simple_paths(d, 0, 9, tracker)
+            _decide(d, frozenset(d.arcs()), 2, tracker)
         assert info.value.reason == "time budget"
         assert tracker.nodes == 0
 
@@ -437,8 +457,9 @@ class TestRequirements:
         [
             ([((3, 0), (3, 0))] * 2, "must be distinct"),
             ([((4, 0), (3, 2))] * 2, "must be distinct"),
-            # two paths 0 ~> 3, through different feedback arcs: one bit
-            ([((4, 0), (3, 2)), ((2, 0), (3, 1))], "must be distinct"),
+            pytest.param(
+                [((4, 0), (3, 2)), ((4, 0), (3, 1))], "must be distinct", id="one-first-arc-twice"
+            ),
         ],
     )
     def test_repeated_or_clashing_requirements_raise(self, reqs, message):
@@ -446,6 +467,21 @@ class TestRequirements:
         with pytest.raises(ValueError, match=message):
             _solve_requirements(ps, reqs)
         assert ps.tracker.nodes == 0
+
+    def test_two_pairs_with_one_pair_of_ends(self):
+        # (4, 0) -> (3, 2) and (2, 0) -> (3, 1) both ask for a path 0 ~> 3,
+        # as two open pairs of one slack-2 shape can: the key counts them,
+        # and the state needs two arc-disjoint such paths
+        reqs = [((4, 0), (3, 2)), ((2, 0), (3, 1))]
+        ps = _dag_system(5, [(0, 1), (1, 3), (0, 3), (2, 4)])
+        placed = _solve_requirements(ps, reqs)
+        assert sorted(path for _, path in placed) == [(0, 1, 3), (0, 3)]
+        # with one path 0 ~> 3, the pair is refuted and the memo keeps it,
+        # yet one of the two alone is feasible: the key tells them apart
+        ps = _dag_system(5, [(0, 1), (1, 3), (2, 4)])
+        assert _solve_requirements(ps, reqs) is None
+        assert len(ps.tracker.refuted) == 1
+        assert _solve_requirements(ps, reqs[:1]) is not None
 
 
 class TestDeciders:
@@ -505,8 +541,9 @@ class TestPairShapes:
 
     def test_shape_order_carries_the_proof(self, monkeypatch):
         # Two triangles through vertex 2, one feedback arc on each.  The
-        # pair shape's paths 1 ~> 3 and 4 ~> 0 both pass 2, which is sound
-        # only because a shape with an unused arc succeeds first.
+        # pair shape's paths 1 ~> 3 and 4 ~> 0 both pass 2: a packing of
+        # slack 0 exists, so the decider is called out of turn here, and
+        # only the shapes with an unused arc, tried first, keep it sound.
         d = Digraph.from_arcs(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 2), (2, 3)])
         fas = frozenset({(0, 1), (3, 4)})
         assert _decide(d, fas, 1, _Tracker(Budget())) == [(3, 4, 2)]
@@ -674,6 +711,25 @@ class TestMemoKey:
         assert any(kept >> pair_at for kept, *_ in seen)  # pair shapes visited
         assert tracker.hits > 0
 
+    def test_slack_two_shapes(self, monkeypatch, paper_T7):
+        # The decider is exact for any feedback arc set: with two arcs
+        # added to a minimum one, nu = 8 is slack 4, so slack 2 is
+        # refuted through every shape, two open pairs and blocks of
+        # three arcs included.
+        d = _two_T7_copies(paper_T7)
+        fas = min_feedback_arc_set(d).arcs | {(0, 3), (1, 4)}
+        tracker = _Tracker(Budget())
+        assert _decide(d, fas, 0, tracker) is None
+        assert _decide(d, fas, 1, tracker) is None
+        seen = _record_keys(monkeypatch)
+        assert _decide(d, fas, 2, tracker) is None
+        _assert_keys_agree(seen)
+        n2, width = d.n * d.n, d.n.bit_length()
+        counts = [kept >> 2 * n2 + i * width & (1 << width) - 1 for kept, *_ in seen for i in range(n2)]
+        assert max(counts) == 2  # two open pairs with the same ends
+        assert any((kept >> 2 * n2).bit_count() > 2 for kept, *_ in seen)  # 3+ pairs open
+        assert sum(hit for *_, hit in seen) > 0
+
 
 def _two_T7_copies(paper_T7):
     """paper-T7 on 0..6 and again on 7..13, every arc from the first copy
@@ -683,30 +739,34 @@ def _two_T7_copies(paper_T7):
     return Digraph(2 * n, rows + [paper_T7.out[u] << n for u in range(n)])
 
 
-class TestMemoAcrossFeedbackSets:
-    def test_memo_shared_with_the_general_search(self, monkeypatch, paper_T7):
-        # The general search decides on a reduced graph with another
-        # feedback arc set; the memo the deciders filled on the whole
-        # graph must neither answer for it nor change its search.
+class TestSlackTwo:
+    def test_memo_shared_across_slacks(self, paper_T7):
+        # One feedback arc set per solve: the states refuted at slacks 0
+        # and 1 stay in the memo for slack 2, which finds nu = tau - 2.
         d = _two_T7_copies(paper_T7)
         fr = min_feedback_arc_set(d)
         assert fr.tau == 10
         tracker = _Tracker(Budget())
         assert _decide(d, fr.arcs, 0, tracker) is None
         assert _decide(d, fr.arcs, 1, tracker) is None
-        assert (len(tracker.refuted), tracker.nodes) == (383, 579)
-        fresh = _find_general(d, 8, _Tracker(Budget()))
-        decided = []
+        assert (len(tracker.refuted), tracker.nodes, tracker.hits) == (383, 579, 69)
+        sol = _decide(d, fr.arcs, 2, tracker)
+        assert len(sol) == 8 and is_valid_packing(d, sol)
+        assert (len(tracker.refuted), tracker.nodes, tracker.hits) == (638, 986, 103)
+        # the solver refutes the same two slacks; the greedy 8 triangles
+        # then meet tau - 2
+        rep = max_cycle_packing(d)
+        assert (rep.value, rep.optimal, rep.nodes_explored) == (8, True, 579)
+        assert (rep.memo_entries, rep.memo_hits) == (383, 69)
 
-        def recording(g, fas, slack, tr):
-            decided.append(len(fas))
-            return _decide(g, fas, slack, tr)
-
-        monkeypatch.setattr(packing, "_decide", recording)
-        sol = _find_general(d, 8, tracker)
-        assert sol == fresh and len(sol) == 8 and is_valid_packing(d, sol)
-        assert (tracker.nodes, len(tracker.refuted)) == (579 + 49, 391)
-        assert decided == [6]
+    def test_tournament_two_below_tau(self):
+        # one of the three random_tournament(16, s), s < 200, with
+        # floor(nu*) = tau - 2; every slack-1 shape is refuted first
+        t = random_tournament(16, 138)
+        assert min_feedback_arc_set(t).tau == 33
+        rep = max_cycle_packing(t)
+        assert (rep.value, rep.optimal) == (31, True)
+        assert is_valid_packing(t, rep.cycles)
 
 
 class TestTriangles:
