@@ -9,19 +9,12 @@ An arc is an ordered pair ``(u, v)`` meaning ``u -> v``.  Arc sets are
 plain ``frozenset`` objects of such pairs, vertex orderings are tuples
 containing each vertex exactly once.
 
-Graphs are built word-parallel.  The in-rows are the transpose of the
-out-rows as a bit matrix.  The rows are packed into one int, row ``i``
-at bit ``w*i``, with the smallest stride ``w`` of 8, 16, 32 or 64 that
-holds ``n``, so the int is a ``w`` by ``w`` matrix with zero padding.
-Transposing swaps the upper-right and lower-left ``w/2`` blocks, then
-the same within every block of half the size, down to single bits.  At
-block size ``s`` a bit in a row with bit ``s`` clear and a column with
-bit ``s`` set trades places with the bit ``s*(w-1)`` above it, so one
-round of shifts, xors and a mask swaps every such pair at once, and
-``log2(w)`` rounds transpose the whole matrix.  The rows go into and out
-of the int as an ``array`` of ``w``-bit items read as one little-endian
-number; on a big-endian machine the items are byte-swapped first, so row
-``i`` lands at bit ``w*i`` there too.
+The in-rows are built on first read of ``inn`` and kept.  The max flow
+and cut through a vertex and the feedback arc set DP read only the
+out-rows; in-rows serve degree, component, short-cycle and tournament
+questions.  So a graph parsed only for a cycles-through query never
+builds them, and one whose in-rows are read pays one loop over its
+arcs, once.
 
 ``parse_graph`` reads the text in one bulk pass.  It splits every line
 into fields, drops blank lines, and sets the rows in one loop over the
@@ -42,9 +35,6 @@ numbers (``07`` is 7; ``+3`` and ``1_0`` are faults).
 from __future__ import annotations
 
 import heapq
-import sys
-from array import array
-from functools import cache
 from typing import Iterable, Iterator
 
 Arc = tuple[int, int]
@@ -60,24 +50,10 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@cache
-def _transpose_plan(w: int) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """The array typecode with ``w``-bit items, and the ``(shift, mask)``
-    of each block-swap round of a ``w`` by ``w`` bit-matrix transpose."""
-    typecode = next(c for c in "BHILQ" if array(c).itemsize * 8 == w)
-    rounds = []
-    s = w // 2
-    while s:
-        row = sum(1 << j for j in range(w) if j & s)
-        rounds.append((s * (w - 1), sum(row << (w * i) for i in range(w) if not i & s)))
-        s //= 2
-    return typecode, tuple(rounds)
-
-
 class Digraph:
     """Immutable loop-free digraph stored as one out-neighbor bitmask per vertex."""
 
-    __slots__ = ("n", "out", "inn")
+    __slots__ = ("n", "out", "_inn")
 
     def __init__(self, n: int, out_rows: Iterable[int]):
         if not 1 <= n <= MAX_VERTICES:
@@ -93,21 +69,21 @@ class Digraph:
                 raise ValueError(f"self-loop at vertex {v}")
         self.n = n
         self.out = rows
-        w = 8
-        while w < n:
-            w *= 2
-        typecode, rounds = _transpose_plan(w)
-        packed = array(typecode, rows)
-        if sys.byteorder == "big":
-            packed.byteswap()
-        r = int.from_bytes(packed, "little")
-        for shift, mask in rounds:
-            t = ((r >> shift) ^ r) & mask
-            r ^= t ^ (t << shift)
-        packed = array(typecode, r.to_bytes(n * w // 8, "little"))
-        if sys.byteorder == "big":
-            packed.byteswap()
-        self.inn = tuple(packed)
+        self._inn = None
+
+    @property
+    def inn(self) -> tuple[int, ...]:
+        """One in-neighbor bitmask per vertex, built on first read."""
+        if self._inn is None:
+            inn = [0] * self.n
+            for u, row in enumerate(self.out):
+                ubit = 1 << u
+                while row:
+                    low = row & -row
+                    inn[low.bit_length() - 1] |= ubit
+                    row ^= low
+            self._inn = tuple(inn)
+        return self._inn
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[Arc]) -> "Digraph":
@@ -149,9 +125,9 @@ class Digraph:
     def is_tournament(self) -> bool:
         """True when every vertex pair carries exactly one arc."""
         full = (1 << self.n) - 1
+        out, inn = self.out, self.inn
         return all(
-            (self.out[u] | self.inn[u]) == full & ~(1 << u)
-            and self.out[u] & self.inn[u] == 0
+            (out[u] | inn[u]) == full & ~(1 << u) and out[u] & inn[u] == 0
             for u in range(self.n)
         )
 

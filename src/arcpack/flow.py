@@ -23,8 +23,8 @@ asks both on the same ``(d, v0)`` runs the search once.  The residual
 cut is checked against the flow value on every call, hit or miss.
 
 Also hosts ``guaranteed_cycles_through``, the sufficient condition for a
-vertex adjacent to all others to lie on out-degree many arc-disjoint
-cycles.
+vertex of an oriented graph adjacent to all others to lie on out-degree
+many arc-disjoint cycles.
 """
 
 from __future__ import annotations
@@ -151,14 +151,18 @@ def guaranteed_cycles_through(d: Digraph, v0: int) -> int | None:
     """Out-degree many arc-disjoint cycles through ``v0``, when the degree
     condition guarantees them: ``d+(v0)``, else ``None``.
 
-    The condition: ``v0`` is adjacent to every other vertex (an arc in
-    either direction), ``d+(v0) <= a``, and either ``v0`` has no
-    in-neighbor or ``2 d+(v0) <= a + b + 1``, with ``a`` and ``b`` the
-    least out-degrees over the out- and the in-neighbors of ``v0``.  All
-    arithmetic is on integers.  Out-degree 0 gives the vacuous 0.
+    The condition is for oriented graphs, so any 2-cycle anywhere in
+    ``d`` gives ``None``.  Otherwise: ``v0`` is adjacent to every other
+    vertex (an arc in either direction), ``d+(v0) <= a``, and either
+    ``v0`` has no in-neighbor or ``2 d+(v0) <= a + b + 1``, with ``a`` and
+    ``b`` the least out-degrees over the out- and the in-neighbors of
+    ``v0``.  All arithmetic is on integers.  Out-degree 0 gives the
+    vacuous 0.
     """
     if not 0 <= v0 < d.n:
         raise ValueError(f"vertex {v0} out of range")
+    if any(o & i for o, i in zip(d.out, d.inn)):
+        return None
     outs, ins = d.out[v0], d.inn[v0]
     if outs | ins != ((1 << d.n) - 1) & ~(1 << v0):
         return None

@@ -513,16 +513,17 @@ def greedy_short_cycles(d: Digraph) -> list[Cycle]:
     def free(*arcs: Arc) -> bool:
         return all(a not in used for a in arcs)
 
+    out, inn = d.out, d.inn
     for u in range(d.n):
-        for v in bits(d.out[u] & d.inn[u]):
+        for v in bits(out[u] & inn[u]):
             if v > u and free((u, v), (v, u)):
                 used.update(((u, v), (v, u)))
                 cycles.append((u, v))
     for u in range(d.n):
-        for v in bits(d.out[u]):
+        for v in bits(out[u]):
             if v < u:
                 continue
-            for w in bits(d.out[v] & d.inn[u]):
+            for w in bits(out[v] & inn[u]):
                 if w < u:
                     continue
                 if free((u, v), (v, w), (w, u)):
@@ -639,7 +640,8 @@ def count_triangles_through(d: Digraph, v: int) -> int:
     """Number of directed 3-cycles through ``v``: arcs from N+(v) to N-(v)."""
     if not 0 <= v < d.n:
         raise ValueError(f"vertex {v} out of range")
-    return sum((d.out[x] & d.inn[v]).bit_count() for x in bits(d.out[v]))
+    ins = d.inn[v]
+    return sum((d.out[x] & ins).bit_count() for x in bits(d.out[v]))
 
 
 def max_triangles_through(d: Digraph, v: int) -> tuple[int, tuple[Cycle, ...]]:

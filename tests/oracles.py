@@ -8,12 +8,13 @@ linear FAS-path test and is itself checked against
 ``hamiltonian_path_exists``.  ``subset_costs_reference`` is the τ
 recurrence cell by cell, the reference for the package's blocked table,
 and its last cell is checked against ``tau_perm``.  ``in_rows_reference``
-and ``parse_graph_reference`` are the per-arc loops that the package's
-bit-matrix transpose and bulk parse replaced, and
-``path_counts_reference`` is the per-source path-count sweep that the
-path-system search's packed path table replaced.  ``state_key_reference``
-is the memo key that search rebuilt at every node before it kept one up
-to date, and ``state_key_fresh`` rebuilds today's key from scratch.
+tests every vertex pair where the package loops over arcs.
+``parse_graph_reference`` is the per-line loop that the package's bulk
+parse replaced, and ``path_counts_reference`` is the per-source
+path-count sweep that the path-system search's packed path table
+replaced.  ``state_key_reference`` is the memo key that search rebuilt
+at every node before it kept one up to date, and ``state_key_fresh``
+rebuilds today's key from scratch.
 """
 
 from __future__ import annotations
@@ -29,15 +30,12 @@ from arcpack.instances import random_oriented, random_tournament
 
 
 def in_rows_reference(rows: list[int]) -> tuple[int, ...]:
-    """In-neighbor rows of the digraph with out-rows ``rows``, arc by arc."""
-    inn = [0] * len(rows)
-    for u, row in enumerate(rows):
-        ubit = 1 << u
-        while row:
-            low = row & -row
-            inn[low.bit_length() - 1] |= ubit
-            row ^= low
-    return tuple(inn)
+    """In-neighbor rows of the digraph with out-rows ``rows``, by testing
+    every ordered pair of vertices."""
+    n = len(rows)
+    return tuple(
+        sum(1 << u for u in range(n) if rows[u] >> v & 1) for v in range(n)
+    )
 
 
 def parse_graph_reference(text: str) -> Digraph:
@@ -443,6 +441,7 @@ def hamiltonian_path(d: Digraph) -> tuple[int, ...] | None:
         )
     if n == 1:
         return (0,)
+    inn = d.inn
     size = 1 << n
     ends = array("q", bytes(8 * size))
     for v in range(n):
@@ -457,7 +456,7 @@ def hamiltonian_path(d: Digraph) -> tuple[int, ...] | None:
             low = t & -t
             t ^= low
             v = low.bit_length() - 1
-            if ends[s ^ low] & d.inn[v]:
+            if ends[s ^ low] & inn[v]:
                 e |= low
         ends[s] = e
     if ends[full] == 0:
@@ -468,7 +467,7 @@ def hamiltonian_path(d: Digraph) -> tuple[int, ...] | None:
     path = [v]
     while s != 1 << v:
         s ^= 1 << v
-        cand = ends[s] & d.inn[v]
+        cand = ends[s] & inn[v]
         v = (cand & -cand).bit_length() - 1
         path.append(v)
     path.reverse()

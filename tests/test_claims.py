@@ -12,6 +12,29 @@ from arcpack.claims import (
     verify_paper,
 )
 
+# every ``verify-paper`` line with ``secs=`` stripped: fixed points
+PAPER_LINES = [
+    "CLAIM TAU_T PASS observed=12 expected=12",
+    "CLAIM NU_T PASS observed=11 expected=11",
+    "CLAIM TAU_T7 PASS observed=5 expected=5",
+    "CLAIM NU_T7 PASS observed=4 expected=4",
+    "CLAIM TAU_TP PASS observed=15 expected=15",
+    "CLAIM NU_TP PASS observed=14 expected=14",
+    "CLAIM NU_EQ_TAU_LE6 PASS observed=counts:1,1,2,4,12,56;identity:ok;violations:0"
+    " expected=identity:ok;violations:0",
+    "CLAIM EULER_T11 PASS observed=eulerian:true;outdeg:5 expected=eulerian:true;outdeg:5",
+    "CLAIM TRI_K_T11 PASS observed=4 expected=4",
+    "CLAIM FLOW_K_T11 PASS observed=5 expected=5",
+    "CLAIM UNIV_CYCLES_RANDOM PASS observed=checked:945;violations:0 expected=violations:0",
+    "CLAIM MINDEG_TAU_RANDOM PASS observed=checked:300;violations:0 expected=violations:0",
+    "CLAIM MINDEG_TRI_RANDOM PASS observed=checked:300;violations:0 expected=violations:0",
+    "CLAIM SECOND_NBHD_LE8 PASS observed=checked:1032;violations:0 expected=violations:0",
+    "CLAIM PACK11_T PASS observed=cycles:11;valid:true;missing:me"
+    " expected=cycles:11;valid:true;missing:me",
+    "CLAIM FAS_PATH_T PASS observed=ok;path:mkigeca expected=ok;path:mkigeca",
+]
+
+
 # one full suite run shared by every test in this module
 @pytest.fixture(scope="module")
 def results():
@@ -22,6 +45,10 @@ class TestSuite:
     def test_all_claims_pass(self, results):
         failed = [r.claim_id for r in results if not r.passed]
         assert failed == []
+
+    def test_every_line_pinned(self, results):
+        lines = [format_claim(r).rsplit(" secs=", 1)[0] for r in results]
+        assert lines == PAPER_LINES
 
     def test_fixed_order(self, results):
         assert tuple(r.claim_id for r in results) == CLAIM_IDS

@@ -1,10 +1,6 @@
-from array import array
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcpack import digraph
 from arcpack.digraph import (
     Digraph,
     backward_arcs,
@@ -17,7 +13,8 @@ from arcpack.digraph import (
     topological_order,
 )
 from arcpack.enumeration import second_neighborhood_fail
-from arcpack.instances import random_tournament
+from arcpack.flow import max_cycles_through, min_arc_cover_through
+from arcpack.instances import random_oriented, random_tournament
 from oracles import (
     hamiltonian_path,
     hamiltonian_path_exists,
@@ -83,8 +80,8 @@ class TestConstruction:
         assert d.min_out_degree() == 0
 
 
-# Orders at and on both sides of every transpose stride (8, 16, 32, 64).
-STRIDE_EDGES = (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64)
+# Orders from 1 to the 64-vertex cap, on both sides of every power of two.
+TWO_POWER_EDGES = (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64)
 
 
 class TestInRows:
@@ -94,51 +91,28 @@ class TestInRows:
         d = random_digraph(n, p, seed)
         assert d.inn == in_rows_reference(list(d.out))
 
-    @pytest.mark.parametrize("n", STRIDE_EDGES)
+    @pytest.mark.parametrize("n", TWO_POWER_EDGES)
     def test_empty_and_full(self, n):
         full = (1 << n) - 1
         assert Digraph(n, [0] * n).inn == (0,) * n
         complete = [full ^ (1 << v) for v in range(n)]
         assert Digraph(n, complete).inn == tuple(complete)
 
-    @pytest.mark.parametrize("n", STRIDE_EDGES)
+    @pytest.mark.parametrize("n", TWO_POWER_EDGES)
     def test_two_cycles_and_tournaments(self, n):
         for d in (random_digraph(n, 0.5, n), random_tournament(n, n)):
             assert d.inn == in_rows_reference(list(d.out))
             assert Digraph(n, d.inn).inn == d.out
 
-
-class _BigEndianArray(bytearray):
-    """An ``array`` of unsigned items as a big-endian machine lays it out."""
-
-    def __init__(self, typecode, items=()):
-        self.itemsize = array(typecode).itemsize
-        if not isinstance(items, (bytes, bytearray)):
-            items = b"".join(x.to_bytes(self.itemsize, "big") for x in items)
-        super().__init__(items)
-
-    def byteswap(self):
-        k = self.itemsize
-        self[:] = b"".join(self[i : i + k][::-1] for i in range(0, len(self), k))
-
-    def __iter__(self):
-        k = self.itemsize
-        return (int.from_bytes(self[i : i + k], "big") for i in range(0, len(self), k))
-
-
-class TestInRowsBigEndian:
-    @pytest.fixture(autouse=True)
-    def big_endian(self, monkeypatch):
-        monkeypatch.setattr(digraph, "array", _BigEndianArray)
-        monkeypatch.setattr(digraph, "sys", SimpleNamespace(byteorder="big"))
-
-    def test_single_arc(self):
-        assert Digraph(2, [0b10, 0]).inn == (0, 0b01)
-
-    @pytest.mark.parametrize("n", STRIDE_EDGES)
-    def test_matches_per_arc_reference(self, n):
-        for rows in (random_digraph(n, 0.5, n).out, random_tournament(n, n).out):
-            assert Digraph(n, rows).inn == in_rows_reference(list(rows))
+    def test_flow_queries_never_build_them(self):
+        # cycles through each vertex and the matching cut read only the
+        # out-rows, so a graph parsed for them keeps its in-rows unbuilt
+        for g in (random_tournament(64, 0), random_oriented(64, 0.1, 31)):
+            d = parse_graph(format_graph(g))
+            for v in range(d.n):
+                max_cycles_through(d, v)
+                min_arc_cover_through(d, v)
+            assert d._inn is None
 
 
 class TestDerivedGraphs:

@@ -163,6 +163,29 @@ class TestUniversalVertexParams:
         with pytest.raises(ValueError, match="out of range"):
             guaranteed_cycles_through(paper_T7, 7)
 
+    def test_two_cycle_is_none(self):
+        # vertex 1 meets the degree condition with d+ = 3, yet lies on
+        # only 2 arc-disjoint cycles: the condition is for oriented graphs
+        d = Digraph(5, (30, 13, 25, 21, 15))
+        assert max_cycles_through(d, 1)[0] == 2
+        assert guaranteed_cycles_through(d, 1) is None
+
+    def test_digraphs_with_two_cycles(self):
+        # every guarantee given on seeded digraphs is met, including on
+        # those whose 2-cycles miss the vertex asked about
+        two_cycles = applied = 0
+        for n in range(2, 9):
+            for p in (0.3, 0.5, 0.7, 0.9):
+                for seed in range(60):
+                    d = random_digraph(n, p, seed)
+                    two_cycles += any(o & i for o, i in zip(d.out, d.inn))
+                    for v in range(n):
+                        k = guaranteed_cycles_through(d, v)
+                        if k is not None:
+                            applied += 1
+                            assert max_cycles_through(d, v)[0] >= k, (n, p, seed, v)
+        assert two_cycles > 0 and applied > 0
+
     def test_boundary_arithmetic(self):
         # seeded tournaments of order 3..9 meet every boundary of the
         # condition within 100 graphs; each vertex is checked against
