@@ -34,7 +34,6 @@ numbers (``07`` is 7; ``+3`` and ``1_0`` are faults).
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Iterator
 
 Arc = tuple[int, int]
@@ -50,14 +49,19 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_order(n: int) -> None:
+    """``ValueError`` unless ``1 <= n <= MAX_VERTICES``."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 class Digraph:
     """Immutable loop-free digraph stored as one out-neighbor bitmask per vertex."""
 
     __slots__ = ("n", "out", "_inn")
 
     def __init__(self, n: int, out_rows: Iterable[int]):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        _check_order(n)
         rows = tuple(out_rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
@@ -88,8 +92,7 @@ class Digraph:
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[Arc]) -> "Digraph":
         """Build a digraph from explicit arcs, rejecting loops and duplicates."""
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        _check_order(n)
         rows = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -137,7 +140,7 @@ class Digraph:
         """Copy with the given arcs removed; removing a missing arc is an error."""
         rows = list(self.out)
         for u, v in arcs:
-            if not (0 <= u < self.n and (rows[u] >> v) & 1):
+            if not (0 <= u < self.n and 0 <= v < self.n and rows[u] >> v & 1):
                 raise ValueError(f"arc ({u}, {v}) not present")
             rows[u] &= ~(1 << v)
         return Digraph(self.n, rows)
@@ -198,21 +201,20 @@ def backward_arcs(d: Digraph, ordering: Iterable[int]) -> frozenset[Arc]:
 def topological_order(d: Digraph) -> tuple[int, ...] | None:
     """A topological order of ``d``, or ``None`` when ``d`` has a cycle.
 
-    Deterministic: among ready vertices the smallest label is placed first.
+    Deterministic: the smallest vertex no remaining vertex points to is next.
     """
-    indeg = [d.in_degree(v) for v in range(d.n)]
+    out = d.out
+    left = (1 << d.n) - 1
     order = []
-    heap = [v for v in range(d.n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in bits(d.out[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != d.n:
-        return None
+    while left:
+        ready = left
+        for u in bits(left):
+            ready &= ~out[u]
+        if not ready:
+            return None
+        low = ready & -ready
+        order.append(low.bit_length() - 1)
+        left ^= low
     return tuple(order)
 
 

@@ -250,24 +250,26 @@ def min_fas_path(d: Digraph, arcs: Iterable[Arc]) -> tuple[int, ...] | None:
     """The hamiltonian path certificate behind ``min_fas_induces_path``,
     in original vertex labels, or ``None`` when the check fails.
 
-    The subgraph is acyclic, so it has a hamiltonian path exactly when
-    consecutive vertices of its topological order are adjacent, and then
-    that order is the only such path.
+    A minimum feedback arc set that leaves the rest acyclic is the set of
+    backward arcs of the rest's topological order.  That order reversed,
+    on the vertices the set touches, orders the set's subgraph: it has a
+    hamiltonian path exactly when consecutive vertices are adjacent, and
+    then that order is the only such path.
     """
     fas = frozenset(arcs)
+    rest = list(d.out)
+    touched = 0
     for u, v in fas:
-        if not (0 <= u < d.n and d.has_arc(u, v)):
+        if not (0 <= u < d.n and 0 <= v < d.n and rest[u] >> v & 1):
             raise ValueError(f"({u}, {v}) is not an arc of the graph")
+        rest[u] ^= 1 << v
+        touched |= 1 << u | 1 << v
     if not fas:
         return () if topological_order(d) is not None else None
     if len(fas) != feedback_arc_set_size(d):
         return None
-    if topological_order(d.without_arcs(fas)) is None:
+    order = topological_order(Digraph(d.n, rest))
+    if order is None:
         return None
-    verts = sorted({u for a in fas for u in a})
-    index = {old: new for new, old in enumerate(verts)}
-    sub = Digraph.from_arcs(len(verts), [(index[u], index[v]) for u, v in fas])
-    order = topological_order(sub)
-    if order is None or not all(map(sub.has_arc, order, order[1:])):
-        return None
-    return tuple(verts[v] for v in order)
+    path = tuple(v for v in reversed(order) if touched >> v & 1)
+    return path if fas.issuperset(zip(path, path[1:])) else None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .digraph import Arc, Digraph, is_decimal
+from .digraph import Arc, Digraph, _check_order, is_decimal
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -86,6 +86,7 @@ def paper_T_backward_arcs() -> frozenset[Arc]:
 
 def transitive_tournament(n: int) -> Digraph:
     """The acyclic tournament: u -> v whenever u < v."""
+    _check_order(n)
     return Digraph(n, [((1 << n) - 1) >> (v + 1) << (v + 1) for v in range(n)])
 
 
@@ -129,6 +130,7 @@ def builtin(name: str) -> Digraph:
 
 def random_tournament(n: int, seed: int) -> Digraph:
     """Uniform random tournament; each pair's direction is one coin flip."""
+    _check_order(n)
     rng = random.Random(seed)
     rows = [0] * n
     for u in range(n):
@@ -145,6 +147,7 @@ def random_oriented(n: int, p: float, seed: int) -> Digraph:
     direction uniform.  Never produces a 2-cycle."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {p}")
+    _check_order(n)
     rng = random.Random(seed)
     rows = [0] * n
     for u in range(n):

@@ -506,28 +506,19 @@ def greedy_short_cycles(d: Digraph) -> list[Cycle]:
     """Arc-disjoint 2- and 3-cycles picked greedily in lexicographic order.
 
     Fast lower-bound seed for the exact solver; makes no optimality claim.
+    No two 2-cycles share an arc, so all of them are taken first.
     """
-    used: set[Arc] = set()
-    cycles: list[Cycle] = []
-
-    def free(*arcs: Arc) -> bool:
-        return all(a not in used for a in arcs)
-
     out, inn = d.out, d.inn
+    cycles: list[Cycle] = [(u, v) for u in range(d.n) for v in bits(out[u] & inn[u] & -(2 << u))]
+    free = [row & ~back for row, back in zip(out, inn)]  # out-rows of the arcs left
     for u in range(d.n):
-        for v in bits(out[u] & inn[u]):
-            if v > u and free((u, v), (v, u)):
-                used.update(((u, v), (v, u)))
-                cycles.append((u, v))
-    for u in range(d.n):
-        for v in bits(out[u]):
-            if v < u:
-                continue
-            for w in bits(out[v] & inn[u]):
-                if w < u:
-                    continue
-                if free((u, v), (v, w), (w, u)):
-                    used.update(((u, v), (v, w), (w, u)))
+        later = -(2 << u)  # the vertices above u
+        for v in bits(free[u] & later):
+            for w in bits(free[v] & inn[u] & later):
+                if free[w] >> u & 1:
+                    free[u] ^= 1 << v
+                    free[v] ^= 1 << w
+                    free[w] ^= 1 << u
                     cycles.append((u, v, w))
                     break
     return cycles

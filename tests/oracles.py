@@ -12,20 +12,22 @@ tests every vertex pair where the package loops over arcs.
 ``parse_graph_reference`` is the per-line loop that the package's bulk
 parse replaced, and ``path_counts_reference`` is the per-source
 path-count sweep that the path-system search's packed path table
-replaced.  ``state_key_reference`` is the memo key that search rebuilt
-at every node before it kept one up to date, and ``state_key_fresh``
-rebuilds today's key from scratch.
+replaced.  ``topological_order_reference`` is the heap-based Kahn order
+that the package's row scan replaced.  ``state_key_reference`` is the
+memo key that search rebuilt at every node before it kept one up to
+date, and ``state_key_fresh`` rebuilds today's key from scratch.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from array import array
 from itertools import combinations, permutations
 from typing import Iterator
 
-from arcpack.digraph import Digraph, bits, topological_order
+from arcpack.digraph import Digraph, bits
 from arcpack.instances import random_oriented, random_tournament
 
 
@@ -143,11 +145,31 @@ def subset_costs_reference(d: Digraph) -> array:
     return f
 
 
+def topological_order_reference(d: Digraph) -> tuple[int, ...] | None:
+    """Kahn's algorithm with in-degree counters and a heap, smallest ready
+    label first; ``None`` when ``d`` has a cycle.  The package's order
+    rescans the remaining vertices' rows for one that nothing points to."""
+    indeg = [sum(d.out[u] >> v & 1 for u in range(d.n)) for v in range(d.n)]
+    order = []
+    heap = [v for v in range(d.n) if indeg[v] == 0]
+    heapq.heapify(heap)
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for w in bits(d.out[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, w)
+    if len(order) != d.n:
+        return None
+    return tuple(order)
+
+
 def path_counts_reference(rows: list[int], src: int) -> list[int]:
     """For every vertex t, the number of directed src->t paths on the
     arcs of the DAG with out-rows ``rows``: one sweep in topological
     order from ``src``.  ``counts[src]`` is 1."""
-    topo = topological_order(Digraph(len(rows), list(rows)))
+    topo = topological_order_reference(Digraph(len(rows), list(rows)))
     counts = [0] * len(rows)
     counts[src] = 1
     for v in topo[topo.index(src) :]:

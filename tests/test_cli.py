@@ -76,6 +76,12 @@ class TestNu:
         assert lines[0] == "nu=4 optimal=true"
         assert sum(1 for l in lines if l.startswith("cycle ")) == 4
 
+    def test_order_above_cap_refused_before_building(self, capsys):
+        # a transitive tournament of 10**12 vertices would exhaust memory
+        code, out, err = run(capsys, "nu", "transitive-1000000000000")
+        assert code == 2 and out == ""
+        assert err == "error: vertex count must be in 1..64, got 1000000000000\n"
+
     def test_budget_flag_exhaustion(self, capsys):
         code, out, _ = run(capsys, "nu", "paper-T", "--budget-nodes", "1")
         assert code == 3
@@ -201,6 +207,12 @@ class TestEnum:
 
 
 class TestRandomCheck:
+    @pytest.mark.parametrize("model", ["tournament", "oriented"])
+    def test_order_above_cap_refused_before_building(self, capsys, model):
+        code, out, err = run(capsys, "random-check", "--model", model, "--n", "1000000000000")
+        assert code == 2 and out == ""
+        assert err == "error: vertex count must be in 1..64, got 1000000000000\n"
+
     def test_budget_resolved_once(self, capsys, monkeypatch):
         from arcpack.packing import Budget
 

@@ -25,6 +25,7 @@ from oracles import (
     reverse,
     scc_brute,
     second_out_brute,
+    topological_order_reference,
 )
 
 
@@ -168,6 +169,21 @@ class TestOrderings:
     def test_topological_order_none_on_cycle(self):
         d = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         assert topological_order(d) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([0.1, 0.25, 0.4, 0.7]).flatmap(lambda p: digraphs(11, p)),
+        st.randoms(use_true_random=False),
+    )
+    def test_topological_order_matches_heap_kahn(self, d, rnd):
+        # the graph itself (often cyclic) and an acyclic part of it: the
+        # arcs forward under a random ordering, so the order is not 0..n-1
+        perm = list(range(d.n))
+        rnd.shuffle(perm)
+        dag = d.without_arcs(backward_arcs(d, perm))
+        for g in (d, dag):
+            assert topological_order(g) == topological_order_reference(g)
+        assert topological_order(dag) is not None
 
     @settings(max_examples=80, deadline=None)
     @given(digraphs())

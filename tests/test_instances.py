@@ -161,6 +161,21 @@ class TestRandomModels:
         assert random_oriented(6, 0.0, 1).arc_count() == 0
         assert random_oriented(6, 1.0, 1).is_tournament()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            transitive_tournament,
+            lambda n: random_tournament(n, 0),
+            lambda n: random_oriented(n, 0.5, 0),
+        ],
+        ids=["transitive", "tournament", "oriented"],
+    )
+    @pytest.mark.parametrize("n", [0, 65, 10**12])
+    def test_order_checked_before_building(self, build, n):
+        # 10**12 vertices: building first would exhaust memory or run for hours
+        with pytest.raises(ValueError, match=f"vertex count must be in 1..64, got {n}$"):
+            build(n)
+
     def test_different_seeds_differ(self):
         # 36 pairs at n=9: identical draws are astronomically unlikely
         assert random_tournament(9, 1) != random_tournament(9, 2)

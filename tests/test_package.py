@@ -7,7 +7,7 @@ from types import ModuleType
 import pytest
 
 import arcpack
-from arcpack.fas import enumerate_min_fas
+from arcpack.fas import enumerate_min_fas, min_fas_path
 from arcpack.instances import builtin, random_oriented
 from arcpack.packing import count_triangles_through, max_triangles_through
 
@@ -34,8 +34,20 @@ def test_all_lists_every_public_name():
         (lambda: random_oriented(5, 1.5, 0), "probability must be in"),
         (lambda: count_triangles_through(builtin("paper-T7"), 7), "vertex 7 out of range"),
         (lambda: max_triangles_through(builtin("paper-T7"), 7), "vertex 7 out of range"),
+        (lambda: builtin("paper-T7").without_arcs([(0, -1)]), r"arc \(0, -1\) not present"),
+        (
+            lambda: min_fas_path(builtin("paper-T7"), [(0, -1)]),
+            r"\(0, -1\) is not an arc of the graph",
+        ),
     ],
-    ids=["enumerate_min_fas-limit", "random_oriented-p", "count_triangles-v", "max_triangles-v"],
+    ids=[
+        "enumerate_min_fas-limit",
+        "random_oriented-p",
+        "count_triangles-v",
+        "max_triangles-v",
+        "without_arcs-negative-head",
+        "min_fas_path-negative-head",
+    ],
 )
 def test_bad_arguments_raise(call, message):
     with pytest.raises(ValueError, match=message):

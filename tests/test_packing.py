@@ -288,6 +288,41 @@ class TestEdgesOfThePipeline:
             d = random_digraph(rng.randrange(2, 10), 0.5, rng.randrange(1 << 32))
             assert is_valid_packing(d, greedy_short_cycles(d))
 
+    @pytest.mark.parametrize(
+        "d, expected",
+        [
+            (builtin("paper-T"), [
+                (0, 1, 2), (0, 3, 6), (0, 4, 8), (2, 3, 4), (2, 5, 8), (4, 5, 6),
+                (4, 7, 10), (4, 9, 12), (6, 7, 8), (6, 11, 12), (8, 9, 10),
+            ]),
+            (builtin("paper-Tprime"), [
+                (0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 10), (2, 3, 4), (2, 5, 8),
+                (2, 6, 10), (2, 7, 12), (4, 5, 6), (4, 7, 10), (4, 9, 12),
+                (6, 7, 8), (6, 11, 12), (8, 9, 10),
+            ]),
+            (builtin("paper-T7"), [(0, 1, 2), (0, 3, 5), (1, 4, 5), (2, 3, 4)]),
+            (builtin("paper-T11"), [
+                (0, 1, 2), (0, 3, 7), (0, 4, 8), (0, 5, 9), (0, 6, 10), (1, 3, 8),
+                (1, 4, 7), (1, 5, 10), (1, 6, 9), (2, 3, 9), (2, 5, 7), (2, 6, 8),
+                (3, 4, 6), (4, 9, 10), (7, 8, 9),
+            ]),
+            (Digraph(3, (6, 5, 3)), [(0, 1), (0, 2), (1, 2)]),
+            (Digraph(4, (10, 5, 9, 3)), [(0, 1), (0, 3), (1, 2, 3)]),
+            (Digraph(5, (30, 13, 25, 21, 15)), [
+                (0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4),
+            ]),
+            (Digraph(8, (136, 224, 171, 181, 162, 78, 140, 104)), [
+                (0, 3), (1, 5), (2, 3), (2, 5), (3, 5), (3, 7), (6, 7), (1, 6, 2),
+            ]),
+        ],
+        ids=["paper-T", "paper-Tprime", "paper-T7", "paper-T11",
+             "K3-both-ways", "two-cycles-then-triangle", "five", "eight"],
+    )
+    def test_greedy_pinned(self, d, expected):
+        # the exact seed: 2-cycles first, then each u's triangles (u, v, w)
+        # with u smallest, in lexicographic order over the arcs still free
+        assert greedy_short_cycles(d) == expected
+
 
 def _paths(table, n, a, b):
     """Number of a->b paths in a ``path_table`` of an ``n``-vertex DAG."""
