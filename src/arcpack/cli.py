@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Graphs are given either as a builtin instance name (``paper-T``,
-``paper-Tprime``, ``paper-T7``, ``paper-T11``, ``transitive-N``) or as a
-path to a text file in the edge-list format of :func:`parse_graph`
-(``-`` reads standard input).  Vertices are numeric, or single letters
-``a``..``z`` as aliases for 0..25.
+``paper-Tprime``, ``paper-T7``, ``paper-T11``, ``isaak-10``,
+``transitive-N``) or as a path to a text file in the edge-list format of
+:func:`parse_graph` (``-`` reads standard input).  Vertices are numeric,
+or single letters ``a``..``z`` as aliases for 0..25.
 
 For ``nu`` a ``--budget-*`` flag wins; a limit not given comes from
 ``ARCPACK_BUDGET_NODES`` / ``ARCPACK_BUDGET_SECS`` (see ``Budget.from_env``).

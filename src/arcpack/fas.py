@@ -18,27 +18,35 @@ The table has ``2**n`` entries, so the solver is capped at
 ``time.perf_counter`` deadline: the clock is read once per
 ``DEADLINE_BLOCK`` cells, so the check costs nothing per cell.
 
-The table is filled block by block.  A block is the ``2**7`` consecutive
-subsets ``hs | lo`` that share their high bits ``hs`` (vertices 7 and
-up) and run over every low part ``lo``.  For a high vertex ``v`` in
-``hs``, the candidate ``f(S - v) + |N+(v) intersect S|`` of every cell
-of the block reads one earlier block, ``hs - v``, at the same ``lo``,
-and costs ``|N+(v) intersect hs| + |N+(v) intersect lo|``.  So each high
-vertex gives the whole block's candidates at once: the earlier block's
-cells, read as one int with a 32-bit field per cell, plus a per-call
-packed table of those costs.  A field-wise minimum over the high
-vertices (each field's top bit is a guard, so no borrow crosses a
-field) seeds the block.  A loop over each cell's low vertices, whose
-candidates lie in the same block, then finishes it, cell by cell in
-increasing order.  Below eight vertices there is one block and no high
-vertex, and that loop is the whole solver.
+The table is filled block by block, in 16-bit cells.  A block is the
+``2**7`` consecutive subsets ``hs | lo`` that share their high bits
+``hs`` (vertices 7 and up) and run over every low part ``lo``.  For a
+high vertex ``v`` in ``hs``, the candidate ``f(S - v) + |N+(v) intersect
+S|`` of every cell of the block reads one earlier block, ``hs - v``, at
+the same ``lo``, and costs ``|N+(v) intersect hs| + |N+(v) intersect
+lo|``.  So each high vertex gives the whole block's candidates at once:
+the earlier block's cells, read as one int with a 16-bit field per
+cell, plus a per-call packed table of those costs.  A field-wise
+minimum over the high vertices (each field's top bit is a guard, so no
+borrow crosses a field) seeds the block.  The block is then decoded
+once into a list and finished there over each cell's low vertices,
+whose candidates lie in the same block, cell by cell in increasing
+order: the candidate of low vertex ``v`` is ``f(hs | lo - v) + a[v] +
+|N+(v) intersect lo|``, with ``a[v] = |N+(v) intersect hs|`` once per
+block and the last term read from a table per 7-bit low row.  That
+table and the steps ``(lo - v, v)`` per low part do not depend on the
+graph, so they are built once per process, on first use.  One slice
+assignment writes the block back.  Below eight vertices there is one
+block and no high vertex, and that list loop is the whole solver.
 
 The table is identical to the cell-by-cell recurrence: every cell is
 the minimum of the same candidates, in exact integer arithmetic, and a
-minimum does not depend on the order of its arguments.  The packed
-blocks are filled cells, each at most the arc count, and costs are below
-``n``, so no field reaches its guard bit.  The graphs are loop-free, so
-``N+(v)`` never contains ``v`` and ``N+(v) intersect (S - v)`` is
+minimum does not depend on the order of its arguments.  A filled cell
+is at most the arc count, ``n(n - 1) = 552`` at the cap, and a cost is
+below ``n``, so every field stays below ``2**14``, the value that marks
+a cell with no candidate yet, which in turn stays below the guard bit
+``2**15``.  A 24-vertex table takes 32 MB.  The graphs are loop-free,
+so ``N+(v)`` never contains ``v`` and ``N+(v) intersect (S - v)`` is
 ``N+(v) intersect S``.
 """
 
@@ -61,7 +69,10 @@ ENUMERATE_MAX_VERTICES = 16
 DEADLINE_BLOCK = 4096
 
 _BLOCK_BITS = 7
-_CELL = array("i").itemsize  # bytes per table cell and per packed field
+_CELL = array("h").itemsize  # bytes per table cell and per packed field
+# A cell with no candidate yet: above every cost sum at the cap, below
+# the guard bit of a 16-bit field.
+_EMPTY = 1 << 14
 
 
 class BudgetExceeded(RuntimeError):
@@ -86,12 +97,19 @@ class FasResult:
 
 
 @cache
-def _low_bits() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per low part ``lo`` of a block, its vertices as ``(1 << v, v)``."""
+def _low_steps() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per low part ``lo`` of a block, its steps ``(lo - v, v)`` for each
+    vertex ``v`` in ``lo``."""
     return tuple(
-        tuple((1 << v, v) for v in range(_BLOCK_BITS) if lo >> v & 1)
+        tuple((lo ^ 1 << v, v) for v in range(_BLOCK_BITS) if lo >> v & 1)
         for lo in range(1 << _BLOCK_BITS)
     )
+
+
+@cache
+def _low_counts(row: int) -> tuple[int, ...]:
+    """``|row & lo|`` for every low part ``lo``, given a row's low bits."""
+    return tuple((row & lo).bit_count() for lo in range(1 << _BLOCK_BITS))
 
 
 def _subset_costs(d: Digraph, deadline: float | None = None) -> array:
@@ -104,27 +122,26 @@ def _subset_costs(d: Digraph, deadline: float | None = None) -> array:
         raise ValueError(f"subset DP capped at {MAX_DP_VERTICES} vertices, got {n}")
     out = d.out
     size = 1 << n
-    big = 1 << 30
-    f = array("i", [big]) * size
-    f[0] = 0
+    f = array("h", [0]) * size
     width = n if n < _BLOCK_BITS else _BLOCK_BITS
     block = 1 << width
+    low = block - 1
     if n > width:
         nbytes = block * _CELL
         order = sys.byteorder
-        ones = int.from_bytes(array("i", [1]) * block, order)
-        empty = big * ones  # a block with no candidate yet
+        ones = int.from_bytes(array("h", [1]) * block, order)
+        empty = _EMPTY * ones  # a block with no candidate yet
         sign = 8 * _CELL - 1
         guard = ones << sign
         # high[1 << v]: out[v] and, per c, the packed costs c + |out[v] & lo|
         high = {}
         for v in range(width, n):
             row = out[v]
-            counts = array("i", [(row & lo).bit_count() for lo in range(block)])
-            base = int.from_bytes(counts, order)
+            base = int.from_bytes(array("h", _low_counts(row & low)), order)
             high[1 << v] = (row, [base + c * ones for c in range((row >> width).bit_count() + 1)])
         raw = memoryview(f).cast("B")
-    lows = _low_bits()
+    counts = [_low_counts(out[v] & low) for v in range(width)]
+    steps = _low_steps()[1:block]
     for hs in range(0, size, block):
         if deadline is not None and not hs % DEADLINE_BLOCK and time.perf_counter() > deadline:
             raise BudgetExceeded("time budget")
@@ -140,15 +157,19 @@ def _subset_costs(d: Digraph, deadline: float | None = None) -> array:
                 y += costs[(row & hs).bit_count()]
                 m = ((x | guard) - y) & guard  # guard bit set where x >= y
                 x ^= (x ^ y) & (m - (m >> sign))  # and there x takes y
-            start = hs * _CELL
-            raw[start : start + nbytes] = x.to_bytes(nbytes, order)
-        for s, vs in zip(range(hs, hs + block), lows):
-            best = f[s]
-            for low, v in vs:
-                c = f[s ^ low] + (out[v] & s).bit_count()
+            cells = array("h", x.to_bytes(nbytes, order)).tolist()
+        else:
+            cells = [_EMPTY] * block
+            cells[0] = 0
+        a = [(out[v] & hs).bit_count() for v in range(width)]
+        for lo, vs in enumerate(steps, 1):
+            best = cells[lo]
+            for prev, v in vs:
+                c = cells[prev] + a[v] + counts[v][lo]
                 if c < best:
                     best = c
-            f[s] = best
+            cells[lo] = best
+        f[hs : hs + block] = array("h", cells)
     return f
 
 

@@ -1,6 +1,6 @@
 """Built-in reference instances and seeded random generators.
 
-The four reference tournaments are fixed constructions used throughout the
+The five reference tournaments are fixed constructions used throughout the
 verification suite.  Each one is a row of ``_BUILTINS``: its order and its
 "backward" arcs, with vertices labeled ``a``, ``b``, ``c``, ... for display;
 every other pair is oriented from the earlier vertex to the later one.
@@ -14,6 +14,9 @@ every other pair is oriented from the earlier vertex to the later one.
 * ``paper-T11``     an eulerian tournament whose out-degrees all equal 5,
                     used to separate 3-cycle packing from general cycle
                     packing through a vertex.
+* ``isaak-10``      10 vertices, 8 backward arcs: a minimum feedback arc
+                    set (τ = 8) inducing the path ``jgeca`` while the
+                    maximum arc-disjoint cycle packing is 7.
 
 ``builtin`` also builds ``transitive-N``, the acyclic tournament on ``N``
 vertices.  Random generators are deterministic functions of their
@@ -74,6 +77,7 @@ _BUILTINS = {
     "paper-Tprime": (13, f"{_T_BACKWARD} mc kc ka"),
     "paper-T7": (7, "ca ec gd fb fa"),
     "paper-T11": (11, "ha hb hc ia ib ic ja jb jc ka kb kc kd ke ca gd jh"),
+    "isaak-10": (10, "ca ec ga ge ja jc je jg"),
 }
 
 BUILTIN_NAMES = tuple(_BUILTINS)
@@ -109,7 +113,7 @@ def triangle_family_T() -> tuple[tuple[int, int, int], ...]:
 def builtin(name: str) -> Digraph:
     """Look up a built-in graph by CLI name.
 
-    Accepts the four reference tournaments plus ``transitive-N`` for any
+    Accepts the five reference tournaments plus ``transitive-N`` for any
     ``N`` between 1 and 64, written in ASCII digits.
     """
     if name in _BUILTINS:

@@ -11,6 +11,7 @@ from arcpack import fas
 from arcpack.digraph import Digraph, backward_arcs, bits, scc_masks, topological_order
 from arcpack.fas import (
     DEADLINE_BLOCK,
+    MAX_DP_VERTICES,
     BudgetExceeded,
     _subset_costs,
     enumerate_min_fas,
@@ -147,6 +148,30 @@ class TestSubsetCostsTable:
     def test_large(self, kind, n, p, seed):
         d = _graph(kind, n, p, seed)
         assert _subset_costs(d) == subset_costs_reference(d)
+
+    def test_no_candidate_marker_fits_a_16_bit_field(self):
+        # at the cap a cell holds at most n(n - 1) and a cost is below n;
+        # the marker must exceed both together and stay below the guard bit
+        n = MAX_DP_VERTICES
+        assert fas._EMPTY > n * (n - 1) + n - 1
+        assert fas._EMPTY < 1 << 15
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_densest_table(self, n):
+        # a 2-cycle on every pair gives every cell its largest value
+        full = (1 << n) - 1
+        d = Digraph(n, [full ^ 1 << v for v in range(n)])
+        f = _subset_costs(d)
+        assert f == subset_costs_reference(d)
+        assert f[full] == n * (n - 1) // 2
+
+    def test_count_cache_stays_bounded(self):
+        # the |row & lo| table is keyed by a row's 7 low bits only
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(3, 13)
+            _subset_costs(random_digraph(n, rng.uniform(0.2, 0.9), rng.randrange(1 << 32)))
+        assert fas._low_counts.cache_info().currsize <= 1 << 7
 
 
 GOLDEN_FAS = json.loads((Path(__file__).parent / "golden_fas.json").read_text())
@@ -331,10 +356,11 @@ class TestIsaakAtTen:
 
     @pytest.fixture(scope="class")
     def t(self):
+        return builtin("isaak-10")
+
+    def test_builtin_rows(self, t):
         # ordering 0..9; every pair not in BACKWARD points forward
-        pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
-        arcs = [(v, u) if (v, u) in self.BACKWARD else (u, v) for u, v in pairs]
-        return Digraph.from_arcs(10, arcs)
+        assert backward_arcs(t, tuple(range(10))) == self.BACKWARD
 
     def test_tau(self, t):
         assert t.is_tournament()
