@@ -43,10 +43,10 @@ from .packing import (
     Budget,
     count_triangles_through,
     cycle_arcs,
-    is_valid_packing,
     max_cycle_packing,
     max_triangles_through,
     packing_bruteforce,
+    packing_violation,
 )
 
 _STATUSES = ("PASS", "FAIL")
@@ -250,7 +250,7 @@ def _second_nbhd_le8(budget: Budget) -> tuple[bool, str, str]:
 def _pack11_t(budget: Budget) -> tuple[bool, str, str]:
     t = builtin("paper-T")
     cycles = triangle_family_T()
-    valid = is_valid_packing(t, cycles)
+    valid = packing_violation(t, cycles) is None
     used = {arc for c in cycles for arc in cycle_arcs(c)}
     # which of the 12 ordering-backward arcs the family leaves uncovered
     missing = sorted(

@@ -136,15 +136,6 @@ class Digraph:
 
     # -- derived graphs -----------------------------------------------
 
-    def without_arcs(self, arcs: Iterable[Arc]) -> "Digraph":
-        """Copy with the given arcs removed; removing a missing arc is an error."""
-        rows = list(self.out)
-        for u, v in arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n and rows[u] >> v & 1):
-                raise ValueError(f"arc ({u}, {v}) not present")
-            rows[u] &= ~(1 << v)
-        return Digraph(self.n, rows)
-
     def induced(self, vertices: Iterable[int]) -> tuple["Digraph", tuple[int, ...]]:
         """Subgraph induced by ``vertices``.
 

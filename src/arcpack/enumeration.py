@@ -77,19 +77,15 @@ class CanonicalCode:
         return Digraph(n, rows)
 
 
-def _require_tournament(t: Digraph) -> None:
-    if not t.is_tournament():
-        raise ValueError("canonical codes are defined for tournaments only")
-    if t.n > ENUMERATION_MAX_ORDER:
-        raise ValueError(
-            f"canonical search capped at order {ENUMERATION_MAX_ORDER}, got {t.n}"
-        )
-
-
 def canonical_form(t: Digraph) -> tuple[CanonicalCode, int]:
     """Canonical code together with the automorphism group size."""
-    _require_tournament(t)
     n = t.n
+    if not t.is_tournament():
+        raise ValueError("canonical codes are defined for tournaments only")
+    if n > ENUMERATION_MAX_ORDER:
+        raise ValueError(
+            f"canonical search capped at order {ENUMERATION_MAX_ORDER}, got {n}"
+        )
     if n == 1:
         return CanonicalCode(1, 0), 1
     out, inn = t.out, t.inn
@@ -147,10 +143,6 @@ def canonical_form(t: Digraph) -> tuple[CanonicalCode, int]:
     rec(0, 0, [(v, 0) for v in order], (1 << n) - 1)
     # the identity seed was not a search leaf; it never inflates aut
     return CanonicalCode(n, best), aut
-
-
-def canonical_code(t: Digraph) -> CanonicalCode:
-    return canonical_form(t)[0]
 
 
 # -- class generation -------------------------------------------------
@@ -238,7 +230,7 @@ def verify_nu_eq_tau_upto(n: int, budget: Budget | None = None) -> SweepReport:
             tau = min_feedback_arc_set(t).tau
             rep = max_cycle_packing(t, budget)
             if not rep.optimal or rep.value != tau:
-                violations.append(canonical_code(t))
+                violations.append(canonical_form(t)[0])
     return SweepReport(
         class_counts=tuple(counts),
         identity_ok=identity_ok,

@@ -256,20 +256,14 @@ def mindeg_lower_bound(d: Digraph) -> int:
     return k * (k + 1) // 2
 
 
-def min_fas_induces_path(d: Digraph, arcs: Iterable[Arc]) -> bool:
-    """Check that ``arcs`` is a minimum FAS whose own subgraph is acyclic
-    and carries a hamiltonian directed path.
-
-    The subgraph in question contains exactly the given arcs and their
-    endpoints (vertices touching no given arc are dropped).  Raises
-    ``ValueError`` when ``arcs`` contains a non-arc of ``d``.
-    """
-    return min_fas_path(d, arcs) is not None
-
-
 def min_fas_path(d: Digraph, arcs: Iterable[Arc]) -> tuple[int, ...] | None:
-    """The hamiltonian path certificate behind ``min_fas_induces_path``,
-    in original vertex labels, or ``None`` when the check fails.
+    """The hamiltonian path of ``arcs``' subgraph when ``arcs`` is a
+    minimum FAS whose own subgraph is acyclic and carries one, else ``None``.
+
+    The subgraph contains exactly the given arcs and their endpoints
+    (vertices touching no given arc are dropped); the path is in original
+    vertex labels.  Raises ``ValueError`` when ``arcs`` contains a non-arc
+    of ``d``.
 
     A minimum feedback arc set that leaves the rest acyclic is the set of
     backward arcs of the rest's topological order.  That order reversed,

@@ -187,7 +187,9 @@ def packing_violation(d: Digraph, cycles: Iterable[Cycle]) -> str | None:
 
     Valid means: every sequence is a directed cycle of distinct vertices
     (length at least 2; a 2-cycle needs both opposing arcs, so it can
-    only validate in a non-oriented digraph), and no arc repeats.
+    only validate in a non-oriented digraph), and no arc repeats.  This
+    is the one validity check: a packing is valid exactly when this
+    returns ``None``.
     """
     used: set[Arc] = set()
     for idx, cyc in enumerate(cycles):
@@ -204,10 +206,6 @@ def packing_violation(d: Digraph, cycles: Iterable[Cycle]) -> str | None:
                 return f"cycle {idx} reuses arc ({u}, {v})"
             used.add((u, v))
     return None
-
-
-def is_valid_packing(d: Digraph, cycles: Iterable[Cycle]) -> bool:
-    return packing_violation(d, list(cycles)) is None
 
 
 # -- path-system search in the acyclic remainder ----------------------
@@ -302,10 +300,6 @@ class _PathSystem:
             yield from rec(src)
 
 
-def _path_arcs(path: tuple[int, ...]) -> list[Arc]:
-    return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
 # A requirement (f, g) pairs two feedback arcs: a path from the head of
 # f to the tail of g, where g follows f on f's cycle.  (f, f) closes the
 # cycle through f alone.
@@ -381,7 +375,7 @@ def _search(ps: _PathSystem, items: list[tuple], code: int) -> list | None:
     code -= delta
     for path in ps.iter_paths(table, y, shift // n):
         tracker.tick()
-        arcs = _path_arcs(path)
+        arcs = list(zip(path, path[1:]))
         ps.place(arcs)
         sub = _search(ps, rest, code)
         ps.unplace(arcs)

@@ -104,6 +104,18 @@ def reverse(d: Digraph) -> Digraph:
     return Digraph(d.n, d.inn)
 
 
+def without_arcs(d: Digraph, arcs) -> Digraph:
+    """Copy of ``d`` with the given arcs removed, for checking that a cut
+    or a feedback arc set leaves the rest acyclic; removing a missing arc
+    is an error."""
+    rows = list(d.out)
+    for u, v in arcs:
+        if not (0 <= u < d.n and 0 <= v < d.n and rows[u] >> v & 1):
+            raise ValueError(f"arc ({u}, {v}) not present")
+        rows[u] &= ~(1 << v)
+    return Digraph(d.n, rows)
+
+
 def golden_graph(case: dict) -> Digraph:
     """The graph of a golden-file case: its ``rows`` when it lists them,
     else the seeded random graph it names by kind, n, p, seed."""

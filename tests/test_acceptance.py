@@ -19,14 +19,13 @@ from oracles import (
 from arcpack.claims import verify_paper
 from arcpack.digraph import is_eulerian
 from arcpack.enumeration import (
-    canonical_code,
+    canonical_form,
     enumerate_tournaments,
     labeled_count_identity_holds,
     nu_lt_tau,
     verify_nu_eq_tau_upto,
 )
 from arcpack.fas import (
-    min_fas_induces_path,
     min_fas_path,
     min_feedback_arc_set,
 )
@@ -40,10 +39,10 @@ from arcpack.instances import (
 )
 from arcpack.packing import (
     cycle_arcs,
-    is_valid_packing,
     max_cycle_packing,
     max_triangles_through,
     packing_bruteforce,
+    packing_violation,
 )
 
 
@@ -75,14 +74,14 @@ def test_criterion_01_fas_and_packing_on_T(paper_T):
         rep = max_cycle_packing(paper_T)
         assert rep.value == 11
         assert rep.optimal
-        assert is_valid_packing(paper_T, rep.cycles)
+        assert packing_violation(paper_T, rep.cycles) is None
         assert len(rep.cycles) == 11
 
 
 def test_criterion_02_min_fas_induces_path_on_T(paper_T):
     with criterion("criterion-2", 1.0):
         arcs = paper_T_backward_arcs()
-        assert min_fas_induces_path(paper_T, arcs)
+        assert min_fas_path(paper_T, arcs) is not None
         path = min_fas_path(paper_T, arcs)
         assert path is not None
         assert "".join(label_of(v) for v in path) == "mkigeca"
@@ -94,7 +93,7 @@ def test_criterion_03_seven_vertex_gap_instance(paper_T7):
         rep = max_cycle_packing(paper_T7)
         assert rep.value == 4
         assert rep.optimal
-        assert is_valid_packing(paper_T7, rep.cycles)
+        assert packing_violation(paper_T7, rep.cycles) is None
 
 
 def test_criterion_04_augmented_instance(paper_Tprime):
@@ -103,7 +102,7 @@ def test_criterion_04_augmented_instance(paper_Tprime):
         rep = max_cycle_packing(paper_Tprime)
         assert rep.value == 14
         assert rep.optimal
-        assert is_valid_packing(paper_Tprime, rep.cycles)
+        assert packing_violation(paper_Tprime, rep.cycles) is None
 
 
 def test_criterion_05_exhaustive_sweep_to_order_6():
@@ -125,7 +124,7 @@ def test_criterion_06_regular_instance_vertex_k(paper_T11):
         assert count == 4
         assert count < 5
         assert len(triangles) == 4
-        assert is_valid_packing(paper_T11, triangles)
+        assert packing_violation(paper_T11, triangles) is None
         assert triangles_through_brute(paper_T11, k) == 4
         assert all(
             max_triangles_through(paper_T11, v)[0] == 5
@@ -142,7 +141,7 @@ def test_criterion_07_eleven_triangle_family(paper_T):
     with criterion("criterion-7", 1.0):
         family = triangle_family_T()
         assert len(family) == 11
-        assert is_valid_packing(paper_T, family)
+        assert packing_violation(paper_T, family) is None
         used = set()
         for tri in family:
             used.update(cycle_arcs(tri))
@@ -170,7 +169,7 @@ def test_criterion_08_randomized_suites():
             d = random_oriented(n, 0.5, rng.getrandbits(32))
             rep = max_cycle_packing(d)
             assert rep.optimal
-            assert is_valid_packing(d, rep.cycles)
+            assert packing_violation(d, rep.cycles) is None
             assert rep.value == packing_bruteforce(d)
 
         # feedback arc set vs. all-orderings minimum, two-cycles allowed
@@ -189,7 +188,7 @@ def test_criterion_08_randomized_suites():
             value, cycles = max_cycles_through(d, v0)
             assert value == cycles_through_brute(d, v0)
             assert len(cycles) == value
-            assert is_valid_packing(d, cycles)
+            assert packing_violation(d, cycles) is None
             assert all(v0 in c for c in cycles)
             assert len(min_arc_cover_through(d, v0)) == value
 
@@ -198,6 +197,6 @@ def test_criterion_09_enumeration_identity_and_gap_search(paper_T7):
     with criterion("criterion-9", 600):
         for n in range(1, 8):
             assert labeled_count_identity_holds(n)
-        hits = [canonical_code(t) for t in enumerate_tournaments(7) if nu_lt_tau(t)]
+        hits = [canonical_form(t)[0] for t in enumerate_tournaments(7) if nu_lt_tau(t)]
         assert len(hits) >= 1
-        assert canonical_code(paper_T7) in hits
+        assert canonical_form(paper_T7)[0] in hits

@@ -169,13 +169,13 @@ class TestEnum:
         assert lines[:-1] == sorted(lines[:-1])
 
     def test_predicate_filter(self, capsys, paper_T7):
-        from arcpack.enumeration import canonical_code
+        from arcpack.enumeration import canonical_form
 
         code, out, _ = run(capsys, "enum", "7", "--predicate", "nu_lt_tau")
         assert code == 0
         lines = out.splitlines()
         assert lines[-1] == "matched=2 classes=456"
-        assert canonical_code(paper_T7).hex() in lines[:-1]
+        assert canonical_form(paper_T7)[0].hex() in lines[:-1]
 
     def test_rejects_order_9(self, capsys):
         with pytest.raises(SystemExit):

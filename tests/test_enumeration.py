@@ -13,7 +13,6 @@ from arcpack.enumeration import (
     PREDICATES,
     CanonicalCode,
     _classes,
-    canonical_code,
     canonical_form,
     class_codes,
     enumerate_tournaments,
@@ -87,7 +86,7 @@ class TestCanonicalForm:
             for code in class_codes(n)[:40]:
                 t = code.decode()
                 assert t.is_tournament()
-                assert canonical_code(t) == code
+                assert canonical_form(t)[0] == code
 
     def test_hex_width(self):
         assert CanonicalCode(7, 0).hex() == "000000"  # 21 bits -> 6 digits
@@ -95,11 +94,11 @@ class TestCanonicalForm:
 
     def test_rejects_non_tournament(self):
         with pytest.raises(ValueError, match="tournaments only"):
-            canonical_code(Digraph.from_arcs(3, [(0, 1)]))
+            canonical_form(Digraph.from_arcs(3, [(0, 1)]))
 
     def test_rejects_large_order(self):
         with pytest.raises(ValueError, match="capped at order 8"):
-            canonical_code(random_tournament(9, 1))
+            canonical_form(random_tournament(9, 1))
 
 
 class TestEnumeration:
@@ -121,14 +120,14 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_full_scan_cross_check(self, n):
-        codes = {canonical_code(t) for t in all_labeled_tournaments(n)}
+        codes = {canonical_form(t)[0] for t in all_labeled_tournaments(n)}
         assert codes == set(class_codes(n))
 
     def test_representatives_are_canonical_and_distinct(self):
         for n in range(1, 8):
             reps = enumerate_tournaments(n)
             assert len(reps) == len(class_codes(n))
-            codes = [canonical_code(t) for t in reps]
+            codes = [canonical_form(t)[0] for t in reps]
             assert len(set(codes)) == len(codes)
             assert codes == sorted(codes)
 
@@ -164,13 +163,13 @@ class TestSweeps:
 
         def short_on_cyclic(t, budget=None):
             rep = real(t, budget)
-            if canonical_code(t) == canonical_code(cyclic):
+            if canonical_form(t)[0] == canonical_form(cyclic)[0]:
                 return dataclasses.replace(rep, value=0, cycles=())
             return rep
 
         monkeypatch.setattr(enumeration, "max_cycle_packing", short_on_cyclic)
         rep = verify_nu_eq_tau_upto(4)
-        assert rep.violations == (canonical_code(cyclic),)
+        assert rep.violations == (canonical_form(cyclic)[0],)
         assert rep.identity_ok and not rep.ok
 
     def test_sweep_cap(self):
@@ -182,7 +181,7 @@ class TestSweeps:
         *found, summary = capsys.readouterr().out.splitlines()
         assert summary == "matched=2 classes=456"
         assert len(found) == 2
-        assert canonical_code(paper_T7).hex() in found
+        assert canonical_form(paper_T7)[0].hex() in found
 
     def test_gap_search_empty_below_7(self):
         assert not any(map(PREDICATES["nu_lt_tau"], enumerate_tournaments(6)))

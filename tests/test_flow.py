@@ -15,7 +15,7 @@ from arcpack.flow import (
     min_arc_cover_through,
 )
 from arcpack.instances import random_oriented, random_tournament, vertex_of
-from arcpack.packing import is_valid_packing, packing_violation
+from arcpack.packing import packing_violation
 from oracles import (
     cycles_through_brute,
     golden_graph,
@@ -23,6 +23,7 @@ from oracles import (
     relabel,
     reverse,
     simple_cycles_through,
+    without_arcs,
 )
 
 
@@ -32,7 +33,7 @@ class TestMaxCyclesThrough:
         value, cycles = max_cycles_through(paper_T11, k)
         assert value == 5
         assert len(cycles) == 5
-        assert is_valid_packing(paper_T11, cycles)
+        assert packing_violation(paper_T11, cycles) is None
         assert all(k in c for c in cycles)
         # triangles alone cannot reach 5 here: some witness is longer
         assert any(len(c) > 3 for c in cycles)
@@ -46,7 +47,7 @@ class TestMaxCyclesThrough:
             for v in range(d.n):
                 value, cycles = max_cycles_through(d, v)
                 assert value == cycles_through_brute(d, v)
-                assert is_valid_packing(d, cycles)
+                assert packing_violation(d, cycles) is None
                 assert all(v in c for c in cycles)
 
     def test_certificate_duality_on_dense_instances(self):
@@ -61,8 +62,8 @@ class TestMaxCyclesThrough:
             value, cycles = max_cycles_through(d, v)
             cut = min_arc_cover_through(d, v)
             assert len(cut) == value
-            assert is_valid_packing(d, cycles) and all(v in c for c in cycles)
-            assert not simple_cycles_through(d.without_arcs(cut), v)
+            assert packing_violation(d, cycles) is None and all(v in c for c in cycles)
+            assert not simple_cycles_through(without_arcs(d, cut), v)
 
     def test_decomposition_drops_a_closed_detour(self):
         # the maximum flow on this tournament carries a circulation that
@@ -99,7 +100,7 @@ class TestMinArcCover:
                 value, _ = max_cycles_through(d, v)
                 cut = min_arc_cover_through(d, v)
                 assert len(cut) == value  # Menger after vertex splitting
-                assert not simple_cycles_through(d.without_arcs(cut), v)
+                assert not simple_cycles_through(without_arcs(d, cut), v)
 
 
 def _degrees(d, v0):
@@ -372,10 +373,10 @@ class TestIndependentChecks:
         value, cycles = max_cycles_through(d, v0)
         cut = min_arc_cover_through(d, v0)
         assert value == len(cycles) == len(cut)
-        assert is_valid_packing(d, cycles)
+        assert packing_violation(d, cycles) is None
         assert all(v0 in c for c in cycles)
         assert cut <= set(d.arcs())
-        assert not _on_cycle_through(d.without_arcs(cut), v0)
+        assert not _on_cycle_through(without_arcs(d, cut), v0)
         perm = data.draw(st.permutations(range(d.n)))
         assert max_cycles_through(relabel(d, perm), perm[v0])[0] == value
         assert max_cycles_through(reverse(d), v0)[0] == value

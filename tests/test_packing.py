@@ -30,7 +30,6 @@ from arcpack.packing import (
     count_triangles_through,
     cycle_arcs,
     greedy_short_cycles,
-    is_valid_packing,
     max_cycle_packing,
     max_triangles_through,
     normalize_cycle,
@@ -74,14 +73,14 @@ class TestCycleUtilities:
 
     def test_valid_packing(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-        assert is_valid_packing(d, [(0, 1, 2)])
+        assert packing_violation(d, [(0, 1, 2)]) is None
         assert packing_violation(d, [(0, 1, 2)]) is None
 
     def test_two_cycle_needs_digon(self):
         d = Digraph.from_arcs(2, [(0, 1), (1, 0)])
-        assert is_valid_packing(d, [(0, 1)])
+        assert packing_violation(d, [(0, 1)]) is None
         oriented = Digraph.from_arcs(2, [(0, 1)])
-        assert not is_valid_packing(oriented, [(0, 1)])
+        assert packing_violation(oriented, [(0, 1)]) is not None
 
 
 class TestKnownValues:
@@ -101,7 +100,7 @@ class TestKnownValues:
         assert rep.optimal
         assert rep.value == nu
         assert len(rep.cycles) == nu
-        assert is_valid_packing(d, rep.cycles)
+        assert packing_violation(d, rep.cycles) is None
 
     def test_report_bookkeeping(self, paper_T):
         rep = max_cycle_packing(paper_T)
@@ -124,7 +123,7 @@ class TestOracleEquivalence:
             rep = max_cycle_packing(g)
             assert rep.optimal
             assert rep.value == packing_bruteforce(g)
-            assert is_valid_packing(g, rep.cycles)
+            assert packing_violation(g, rep.cycles) is None
 
     def test_tournaments(self):
         rng = random.Random(22)
@@ -223,7 +222,7 @@ class TestEdgesOfThePipeline:
             g = relabel(d, rng.sample(range(d.n), d.n))
             rep = max_cycle_packing(g, Budget(max_secs=10))
             assert (rep.value, rep.optimal) == (max_cycle_packing(d).value, True)
-            assert is_valid_packing(g, rep.cycles)
+            assert packing_violation(g, rep.cycles) is None
 
     def test_beyond_dp_cap_acyclic(self):
         rep = max_cycle_packing(transitive_tournament(30))
@@ -236,13 +235,13 @@ class TestEdgesOfThePipeline:
         assert time.perf_counter() - start < 3.0
         assert (rep.optimal, rep.stop_reason) == (False, "time budget")
         assert rep.value >= len(greedy_short_cycles(t))
-        assert is_valid_packing(t, rep.cycles)
+        assert packing_violation(t, rep.cycles) is None
 
     def test_budget_exhaustion_keeps_certificate(self, paper_T):
         rep = max_cycle_packing(paper_T, Budget(max_nodes=1))
         assert not rep.optimal
         assert rep.value <= 11
-        assert is_valid_packing(paper_T, rep.cycles)
+        assert packing_violation(paper_T, rep.cycles) is None
 
     def test_stop_reason_optimal(self, paper_T):
         assert max_cycle_packing(paper_T).stop_reason == "optimal"
@@ -257,7 +256,7 @@ class TestEdgesOfThePipeline:
         rep = max_cycle_packing(t, Budget(max_secs=0.3))
         assert time.perf_counter() - start < 2.0
         assert (rep.optimal, rep.stop_reason) == (False, "time budget")
-        assert rep.value > 0 and is_valid_packing(t, rep.cycles)
+        assert rep.value > 0 and packing_violation(t, rep.cycles) is None
 
     def test_shape_loop_polls_the_clock(self):
         # five arcs v + 1 -> v, all of them feedback arcs, and no arc left
@@ -286,7 +285,7 @@ class TestEdgesOfThePipeline:
         rng = random.Random(5)
         for _ in range(60):
             d = random_digraph(rng.randrange(2, 10), 0.5, rng.randrange(1 << 32))
-            assert is_valid_packing(d, greedy_short_cycles(d))
+            assert packing_violation(d, greedy_short_cycles(d)) is None
 
     @pytest.mark.parametrize(
         "d, expected",
@@ -463,7 +462,7 @@ class TestRequirements:
             5,
             [(0, 1), (1, 4), (2, 1), (1, 3), (0, 4), (2, 3), (4, 0), (3, 2)],
         )
-        assert is_valid_packing(d_closed, sol)
+        assert packing_violation(d_closed, sol) is None
         assert len(sol) == 2
 
     def test_solver_refutes(self):
@@ -526,7 +525,7 @@ class TestDeciders:
         assert _decide(paper_T7, fr.arcs, 0, tracker) is None  # nu < tau
         sol = _decide(paper_T7, fr.arcs, 1, tracker)
         assert sol is not None and len(sol) == 4
-        assert is_valid_packing(paper_T7, sol)
+        assert packing_violation(paper_T7, sol) is None
 
     def test_refutations_do_not_block_one_below(self, paper_T7):
         fr = min_feedback_arc_set(paper_T7)
@@ -540,7 +539,7 @@ class TestDeciders:
         fr = min_feedback_arc_set(paper_T11)
         sol = _decide(paper_T11, fr.arcs, 0, _Tracker(Budget()))
         assert sol is not None and len(sol) == 17
-        assert is_valid_packing(paper_T11, sol)
+        assert packing_violation(paper_T11, sol) is None
 
 
 # random_tournament(11, seed) with nu = tau - 1, where only a shape with
@@ -786,7 +785,7 @@ class TestSlackTwo:
         assert _decide(d, fr.arcs, 1, tracker) is None
         assert (len(tracker.refuted), tracker.nodes, tracker.hits) == (383, 579, 69)
         sol = _decide(d, fr.arcs, 2, tracker)
-        assert len(sol) == 8 and is_valid_packing(d, sol)
+        assert len(sol) == 8 and packing_violation(d, sol) is None
         assert (len(tracker.refuted), tracker.nodes, tracker.hits) == (638, 986, 103)
         # the solver refutes the same two slacks; the greedy 8 triangles
         # then meet tau - 2
@@ -801,7 +800,7 @@ class TestSlackTwo:
         assert min_feedback_arc_set(t).tau == 33
         rep = max_cycle_packing(t)
         assert (rep.value, rep.optimal) == (31, True)
-        assert is_valid_packing(t, rep.cycles)
+        assert packing_violation(t, rep.cycles) is None
 
 
 class TestTriangles:
@@ -819,7 +818,7 @@ class TestTriangles:
             for v in range(t.n):
                 value, tris = max_triangles_through(t, v)
                 assert value == triangles_through_brute(t, v)
-                assert is_valid_packing(t, tris)
+                assert packing_violation(t, tris) is None
                 assert all(v in c for c in tris)
 
     def test_T11_vertex_k_misses_degree(self, paper_T11):
