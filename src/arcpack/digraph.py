@@ -55,6 +55,12 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
 
 
+def _check_vertex(d: Digraph, v: int) -> None:
+    """``ValueError`` unless ``v`` is a vertex of ``d``."""
+    if not 0 <= v < d.n:
+        raise ValueError(f"vertex {v} out of range")
+
+
 class Digraph:
     """Immutable loop-free digraph stored as one out-neighbor bitmask per vertex."""
 
@@ -107,6 +113,8 @@ class Digraph:
     # -- basic queries ------------------------------------------------
 
     def has_arc(self, u: int, v: int) -> bool:
+        _check_vertex(self, u)
+        _check_vertex(self, v)
         return bool((self.out[u] >> v) & 1)
 
     def arcs(self) -> list[Arc]:
@@ -117,13 +125,15 @@ class Digraph:
         return sum(row.bit_count() for row in self.out)
 
     def out_degree(self, v: int) -> int:
+        _check_vertex(self, v)
         return self.out[v].bit_count()
 
     def in_degree(self, v: int) -> int:
+        _check_vertex(self, v)
         return self.inn[v].bit_count()
 
     def min_out_degree(self) -> int:
-        return min(self.out_degree(v) for v in range(self.n))
+        return min(map(int.bit_count, self.out))
 
     def is_tournament(self) -> bool:
         """True when every vertex pair carries exactly one arc."""
@@ -217,8 +227,7 @@ def second_out_neighborhood(d: Digraph, v: int) -> frozenset[int]:
 
     Excludes ``v`` itself and all direct out-neighbors.
     """
-    if not 0 <= v < d.n:
-        raise ValueError(f"vertex {v} out of range")
+    _check_vertex(d, v)
     first = d.out[v]
     second = 0
     for u in bits(first):

@@ -20,9 +20,10 @@ starts with more than ``d + k`` zero chunks.  Both rules cut only
 branches that cannot reach the minimum, so the search still visits every
 permutation achieving it; their count is the automorphism group size.
 
-Representatives of order ``n`` are generated by extending each order
-``n-1`` representative with every possible orientation pattern toward a
-new vertex and deduplicating by code.  The labeled-count identity
+Class generation appends a vertex with every possible chunk to each
+order ``n-1`` representative, the step ``CanonicalCode.decode`` takes
+per chunk, and deduplicates the order ``n`` tournaments by code.  The
+labeled-count identity
 
     sum over classes of n! / |Aut|  ==  2 ** (n * (n - 1) / 2)
 
@@ -48,6 +49,18 @@ from .packing import (
 ENUMERATION_MAX_ORDER = 8
 
 
+def _add_vertex(rows: list[int], chunk: int) -> None:
+    """Append a vertex to the tournament ``rows`` from its code chunk: with
+    ``k`` vertices before it, bit ``k - 1 - i`` set means vertex i beats it."""
+    k = len(rows)
+    beaten = (1 << k) - 1  # the vertices the new one beats
+    for i in range(k):
+        if chunk >> k - 1 - i & 1:
+            rows[i] |= 1 << k
+            beaten ^= 1 << i
+    rows.append(beaten)
+
+
 @dataclass(frozen=True, order=True)
 class CanonicalCode:
     """Canonical bit string of a tournament, packed into an int."""
@@ -64,17 +77,12 @@ class CanonicalCode:
 
     def decode(self) -> Digraph:
         """The representative tournament labeled canonically."""
-        n = self.n
-        rows = [0] * n
-        pos = self.bit_length() - 1
-        for j in range(1, n):
-            for i in range(j):
-                if (self.value >> pos) & 1:
-                    rows[i] |= 1 << j
-                else:
-                    rows[j] |= 1 << i
-                pos -= 1
-        return Digraph(n, rows)
+        rows: list[int] = []
+        pos = self.bit_length()
+        for k in range(self.n):
+            pos -= k
+            _add_vertex(rows, self.value >> pos & ((1 << k) - 1))
+        return Digraph(self.n, rows)
 
 
 def canonical_form(t: Digraph) -> tuple[CanonicalCode, int]:
@@ -148,18 +156,6 @@ def canonical_form(t: Digraph) -> tuple[CanonicalCode, int]:
 # -- class generation -------------------------------------------------
 
 
-def _extend(parent: Digraph, pattern: int) -> Digraph:
-    """Add one vertex; bit i of ``pattern`` set means i beats the new one."""
-    k = parent.n
-    rows = list(parent.out) + [0]
-    for i in range(k):
-        if (pattern >> i) & 1:
-            rows[i] |= 1 << k
-        else:
-            rows[k] |= 1 << i
-    return Digraph(k + 1, rows)
-
-
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[tuple[int, int], ...]:
     """Sorted (code value, aut size) pairs for all classes of order n."""
@@ -169,9 +165,11 @@ def _classes(n: int) -> tuple[tuple[int, int], ...]:
         return ((0, 1),)
     found: dict[int, int] = {}
     for value, _ in _classes(n - 1):
-        parent = CanonicalCode(n - 1, value).decode()
-        for pattern in range(1 << (n - 1)):
-            code, aut = canonical_form(_extend(parent, pattern))
+        parent = CanonicalCode(n - 1, value).decode().out
+        for chunk in range(1 << (n - 1)):
+            rows = list(parent)
+            _add_vertex(rows, chunk)
+            code, aut = canonical_form(Digraph(n, rows))
             found[code.value] = aut
     return tuple(sorted(found.items()))
 

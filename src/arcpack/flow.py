@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .digraph import Arc, Digraph, bits
+from .digraph import Arc, Digraph, _check_vertex, bits
 from .packing import Cycle, normalize_cycle
 
 
@@ -43,8 +43,7 @@ def _edmonds_karp(d: Digraph, v0: int) -> tuple[int, tuple[int, ...], tuple[int,
     capacity and flow rows, and the mask of nodes the final, failed
     search reached in the residual graph.
     """
-    if not 0 <= v0 < d.n:
-        raise ValueError(f"vertex {v0} out of range")
+    _check_vertex(d, v0)
     n = d.n
     source_bit, sink_bit = 1 << v0, 1 << n
     cap = [(row & ~source_bit) | sink_bit if row & source_bit else row for row in d.out]
@@ -159,8 +158,7 @@ def guaranteed_cycles_through(d: Digraph, v0: int) -> int | None:
     ``v0``.  All arithmetic is on integers.  Out-degree 0 gives the
     vacuous 0.
     """
-    if not 0 <= v0 < d.n:
-        raise ValueError(f"vertex {v0} out of range")
+    _check_vertex(d, v0)
     if any(o & i for o, i in zip(d.out, d.inn)):
         return None
     outs, ins = d.out[v0], d.inn[v0]

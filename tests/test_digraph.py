@@ -14,7 +14,7 @@ from arcpack.digraph import (
 )
 from arcpack.enumeration import second_neighborhood_fail
 from arcpack.flow import max_cycles_through, min_arc_cover_through
-from arcpack.instances import random_oriented, random_tournament
+from arcpack.instances import builtin, random_oriented, random_tournament
 from oracles import (
     hamiltonian_path,
     hamiltonian_path_exists,
@@ -56,6 +56,22 @@ class TestConstruction:
             Digraph.from_arcs(3, [(0, 3)])
         with pytest.raises(ValueError, match="mentions vertices"):
             Digraph(2, [0b100, 0])
+
+    @pytest.mark.parametrize("v", [-1, 7])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda d, v: d.out_degree(v),
+            lambda d, v: d.in_degree(v),
+            lambda d, v: d.has_arc(v, 0),
+            lambda d, v: d.has_arc(0, v),
+        ],
+        ids=["out_degree", "in_degree", "has_arc-tail", "has_arc-head"],
+    )
+    def test_vertex_queries_reject_non_vertices(self, query, v):
+        # a negative vertex must not index a row from the end
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            query(builtin("paper-T7"), v)
 
     def test_rejects_duplicate_arc(self):
         with pytest.raises(ValueError, match="duplicate"):
